@@ -33,16 +33,16 @@ from .quantum import (
     variational_ground_state,
 )
 from .semiclassics import (
-    _angle,
     density_of_states,
+    orbit,
     period,
     potential_curves,
     quantize,
-    turning_points,
     wkb_state,
 )
 
 FIGURE_IDS = tuple(f"fig{i}" for i in range(1, 10))
+MF_TOL = 1e-10  # mean-field integrator tolerance: --tol default and figures
 
 
 def _metadata(command, params: ModelParams | None = None, **extra):
@@ -144,16 +144,21 @@ def cmd_kx_spectrum(args):
     )
 
 
-def cmd_sweep_spectrum(args):
-    eps_values = _parse_epsilon_range(args.epsilon_range)
+def _sweep_rows(n, v, eps_values):
+    """Rows (epsilon, index, energy, eta*energy) of the exact spectra."""
     rows = []
     for eps in eps_values:
-        params = make_params(eps, args.v, args.n)
+        params = make_params(float(eps), v, n)
         vals, _ = exact_spectrum(build_hamiltonian(params))
         rows.extend(
             (float(eps), i, float(val), float(params.eta * val))
             for i, val in enumerate(vals)
         )
+    return rows
+
+
+def cmd_sweep_spectrum(args):
+    rows = _sweep_rows(args.n, args.v, _parse_epsilon_range(args.epsilon_range))
     meta = _metadata("sweep-spectrum", n=args.n, v=args.v,
                      epsilon_range=args.epsilon_range)
     return TableArtifact(["epsilon", "index", "energy", "eta_energy"], rows, meta)
@@ -227,23 +232,22 @@ def cmd_fixed_points(args):
     )
 
 
-def cmd_mf_trajectory(args):
-    params = _params(args)
-    s0 = _mf_initial(args.init)
-    traj = integrate_trajectory(
-        s0, args.t_max, params, tol=args.tol, samples=args.samples
-    )
+def _mf_series(params, s0, t_max, samples, tol=MF_TOL):
+    """The mean-field trajectory from s0 and its rows (t, s_x, s_y, s_z, energy)."""
+    traj = integrate_trajectory(s0, t_max, params, tol=tol, samples=samples)
     energy = params.epsilon * traj.sz + params.v * traj.sx
     rows = [
-        (
-            float(t),
-            float(x),
-            float(y),
-            float(z),
-            float(h),
-        )
+        (float(t), float(x), float(y), float(z), float(h))
         for t, x, y, z, h in zip(traj.times, traj.sx, traj.sy, traj.sz, energy)
     ]
+    return traj, rows
+
+
+def cmd_mf_trajectory(args):
+    params = _params(args)
+    traj, rows = _mf_series(
+        params, _mf_initial(args.init), args.t_max, args.samples, args.tol
+    )
     meta = _metadata(
         "mf-trajectory",
         params,
@@ -255,15 +259,15 @@ def cmd_mf_trajectory(args):
     return TableArtifact(["t", "s_x", "s_y", "s_z", "energy"], rows, meta)
 
 
-def cmd_mp_trajectory(args):
-    params = _params(args)
-    basis = basis_states(args.n)
-    psi0 = _mp_initial(args.init, basis)
-    hamiltonian = build_hamiltonian(params)
+def _mp_series(params, init, t_max, samples):
+    """Rows (t, eta<K_x>, eta<K_y>, eta<K_z>, norm, energy) of the exact
+    dynamics from the initial state named by ``init``."""
+    basis = basis_states(params.n_particles)
+    psi0 = _mp_initial(init, basis)
     generators = build_generators(basis)
-    times = np.linspace(0.0, args.t_max, args.samples)
+    times = np.linspace(0.0, t_max, samples)
     rows = []
-    for t, psi in zip(times, evolve_state(hamiltonian, psi0, times)):
+    for t, psi in zip(times, evolve_state(build_hamiltonian(params), psi0, times)):
         mom = observables(psi, generators, params)
         rows.append(
             (
@@ -275,6 +279,12 @@ def cmd_mp_trajectory(args):
                 float(mom.energy),
             )
         )
+    return rows
+
+
+def cmd_mp_trajectory(args):
+    params = _params(args)
+    rows = _mp_series(params, args.init, args.t_max, args.samples)
     meta = _metadata("mp-trajectory", params, init=args.init, t_max=args.t_max)
     return TableArtifact(
         ["t", "eta_kx", "eta_ky", "eta_kz", "norm", "energy"], rows, meta
@@ -395,15 +405,7 @@ def _fig1(args):
 
 def _fig2(args):
     eps_values = _parse_epsilon_range(args.epsilon_range or "-4:4:81")
-    rows = []
-    for n in (10, 50):
-        for eps in eps_values:
-            params = make_params(float(eps), 1.0, n)
-            vals, _ = exact_spectrum(build_hamiltonian(params))
-            rows.extend(
-                (n, float(eps), i, float(val), float(params.eta * val))
-                for i, val in enumerate(vals)
-            )
+    rows = [(n,) + row for n in (10, 50) for row in _sweep_rows(n, 1.0, eps_values)]
     return TableArtifact(
         ["n", "epsilon", "index", "energy", "eta_energy"],
         rows,
@@ -424,11 +426,8 @@ def _fig3(args):
         for traj_id, (p0, q0) in enumerate(_FIG3_INITS):
             radius = teardrop_radius(p0)
             s0 = bloch_point(radius * math.cos(q0), radius * math.sin(q0), p0)
-            traj = integrate_trajectory(s0, t_max, params, samples=samples)
-            rows.extend(
-                (float(eps), traj_id, float(t), float(x), float(y), float(z))
-                for t, x, y, z in zip(traj.times, traj.sx, traj.sy, traj.sz)
-            )
+            _, series = _mf_series(params, s0, t_max, samples)
+            rows.extend((float(eps), traj_id) + row[:4] for row in series)
     return TableArtifact(
         ["epsilon", "trajectory", "t", "s_x", "s_y", "s_z"],
         rows,
@@ -437,33 +436,12 @@ def _fig3(args):
 
 
 def _fig4_series(eps, init, n_values, t_max, samples):
-    rows = []
-    mf0 = _NAMED_MF_INITS[init]()
-    params0 = make_params(eps, 1.0, n_values[0])
-    traj = integrate_trajectory(mf0, t_max, params0, samples=samples)
-    rows.extend(
-        (float(eps), init, "mf", float(t), float(x), float(y), float(z))
-        for t, x, y, z in zip(traj.times, traj.sx, traj.sy, traj.sz)
-    )
-    times = np.linspace(0.0, t_max, samples)
+    params = make_params(eps, 1.0, n_values[0])
+    _, series = _mf_series(params, _mf_initial(init), t_max, samples)
+    rows = [(float(eps), init, "mf") + row[:4] for row in series]
     for n in n_values:
-        params = make_params(eps, 1.0, n)
-        basis = basis_states(n)
-        generators = build_generators(basis)
-        psi0 = variational_ground_state(_NAMED_MP_SPECS[init], basis)
-        for t, psi in zip(times, evolve_state(build_hamiltonian(params), psi0, times)):
-            mom = observables(psi, generators)
-            rows.append(
-                (
-                    float(eps),
-                    init,
-                    f"N{n}",
-                    float(t),
-                    float(params.eta * mom.kx),
-                    float(params.eta * mom.ky),
-                    float(params.eta * mom.kz),
-                )
-            )
+        series = _mp_series(make_params(eps, 1.0, n), init, t_max, samples)
+        rows.extend((float(eps), init, f"N{n}") + row[:4] for row in series)
     return rows
 
 
@@ -508,10 +486,7 @@ def _fig6(args):
             for p, um, up in zip(p_grid, u_minus, u_plus)
         )
         emin, emax = energy_range(params)
-        e_orbit = emin + 0.4 * (emax - emin)
-        tps = turning_points(e_orbit, params)
-        orbit_p = np.linspace(tps.p_minus, tps.p_plus, samples)
-        q = _angle(orbit_p, e_orbit, params)
+        orbit_p, q = orbit(emin + 0.4 * (emax - emin), params, samples)
         rows.extend(
             ("orbit", float(eps), float(p), float(qq), float(2.0 * math.pi - qq))
             for p, qq in zip(orbit_p, q)
@@ -613,14 +588,28 @@ def cmd_figure(args):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing; the type names appear in argparse's "invalid <type> value"
+
+
+def finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_model_flags(parser, n_default=None):
     parser.add_argument("--n", type=int, default=n_default, required=n_default is None,
                         help="particle number N (even)")
-    parser.add_argument("--epsilon", type=float, default=0.0)
-    parser.add_argument("--v", type=float, default=1.0)
+    parser.add_argument("--epsilon", type=finite, default=0.0)
+    parser.add_argument("--v", type=finite, default=1.0)
 
 
 def _add_output_flags(parser):
@@ -648,7 +637,7 @@ def build_parser():
 
     p = sub.add_parser("sweep-spectrum", help="spectrum over an epsilon sweep")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", type=float, default=1.0)
+    p.add_argument("--v", type=finite, default=1.0)
     p.add_argument("--epsilon-range", required=True, metavar="a:b:steps")
     _add_output_flags(p)
     p.set_defaults(func=cmd_sweep_spectrum)
@@ -660,13 +649,13 @@ def build_parser():
 
     p = sub.add_parser("dos", help="analytic density of states")
     _add_model_flags(p)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=count, default=200)
     _add_output_flags(p)
     p.set_defaults(func=cmd_dos)
 
     p = sub.add_parser("period", help="orbit period at one energy")
     _add_model_flags(p)
-    p.add_argument("--energy", type=float, required=True,
+    p.add_argument("--energy", type=finite, required=True,
                    help="rescaled (mean-field) energy")
     _add_output_flags(p)
     p.set_defaults(func=cmd_period)
@@ -679,17 +668,17 @@ def build_parser():
     p = sub.add_parser("mf-trajectory", help="integrate the mean-field flow")
     _add_model_flags(p)
     p.add_argument("--init", default="bloch:0.5,0,0")
-    p.add_argument("--t-max", type=float, default=20.0)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--t-max", type=finite, default=20.0)
+    p.add_argument("--samples", type=count, default=500)
+    p.add_argument("--tol", type=finite, default=MF_TOL)
     _add_output_flags(p)
     p.set_defaults(func=cmd_mf_trajectory)
 
     p = sub.add_parser("mp-trajectory", help="exact many-particle dynamics")
     _add_model_flags(p)
     p.add_argument("--init", default="ground-kx")
-    p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--samples", type=int, default=201)
+    p.add_argument("--t-max", type=finite, default=10.0)
+    p.add_argument("--samples", type=count, default=201)
     _add_output_flags(p)
     p.set_defaults(func=cmd_mp_trajectory)
 
@@ -702,13 +691,13 @@ def build_parser():
     p = sub.add_parser("coherent-surface",
                        help="variational ground-state sweep (teardrop approach)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=101)
+    p.add_argument("--samples", type=count, default=101)
     _add_output_flags(p)
     p.set_defaults(func=cmd_coherent_surface)
 
     p = sub.add_parser("compare", help="exact vs semiclassical spectra")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", type=float, default=1.0)
+    p.add_argument("--v", type=finite, default=1.0)
     p.add_argument("--epsilon-range", required=True, metavar="a:b:steps")
     _add_output_flags(p)
     p.set_defaults(func=cmd_compare)
@@ -717,8 +706,8 @@ def build_parser():
     p.add_argument("--id", required=True, choices=FIGURE_IDS)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--epsilon-range", default=None, metavar="a:b:steps")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--t-max", type=finite, default=None)
+    p.add_argument("--samples", type=count, default=None)
     _add_output_flags(p)
     p.set_defaults(func=cmd_figure)
 

@@ -60,6 +60,9 @@ def _check_particle_number(n_particles):
 def make_params(epsilon, v, n_particles):
     """Validate inputs and attach eta = 1/(N/2 + 1)."""
     n = _check_particle_number(n_particles)
+    for name, value in (("epsilon", epsilon), ("v", v)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     return ModelParams(
         epsilon=float(epsilon), v=float(v), n_particles=n, eta=1.0 / (n // 2 + 1)
     )

@@ -14,11 +14,15 @@ action of K_+ = K_x + i K_y follows from the bosonic matrix elements:
     <m+1| K_+ |m> = sqrt((n_a + 1)(n_a + 2) n_b / N),
     n_a = 2m + N/2,  n_b = N/4 - m.
 
-Everything downstream (Hamiltonian H = eps*K_z + v*K_x, Casimir, time
-evolution, variational states) is built from these tridiagonal pieces.
-H, K_x and K_z are kept in symmetric-tridiagonal storage so that spectra
-at N ~ 10^4 stay cheap; dense complex matrices are materialised only on
-demand.
+The ladder action couples only neighbouring m, so every sector operator
+(H = eps*K_z + v*K_x, the generators, the Casimir and the variational
+preparation Hamiltonian) has one storage: a diagonal and the sub- and
+super-diagonal bands, complex allowed.  Products with a state cost
+O(dim).  A Hermitian tridiagonal matrix with sub-diagonal b_k equals
+D T D^dagger, with T real symmetric with off-diagonal |b_k| and the
+diagonal phase gauge D_0 = 1, D_{k+1} = D_k b_k/|b_k|; every eigenproblem
+is solved on T by scipy's tridiagonal eigensolver.  For real
+non-negative b (K_x, and H at v >= 0) every phase is exactly 1.
 """
 
 from __future__ import annotations
@@ -36,48 +40,49 @@ HERMITICITY_TOL = 1e-12
 
 @dataclass(eq=False)
 class OperatorMatrix:
-    """Operator on the fixed-N sector.
+    """Tridiagonal operator on the fixed-N sector.
 
-    Stores either a dense (complex) matrix or the (diag, offdiag) pair of
-    a real symmetric tridiagonal matrix; ``to_dense`` materialises the
-    latter when needed.
+    ``diag[k] = <k|A|k>``, ``offdiag[k] = <k+1|A|k>`` (the sub-diagonal)
+    and ``superdiag[k] = <k|A|k+1>``, over the ascending-m basis.
     """
 
     label: str
-    dense: np.ndarray | None = None
-    diag: np.ndarray | None = None
-    offdiag: np.ndarray | None = None
+    diag: np.ndarray
+    offdiag: np.ndarray
+    superdiag: np.ndarray
+
+    dense = None  # no dense storage; bench/tracing.py still reads the name
+
+    @classmethod
+    def hermitian(cls, label, diag, offdiag):
+        offdiag = np.asarray(offdiag)
+        return cls(label, np.asarray(diag), offdiag, offdiag.conj())
 
     @classmethod
     def from_dense(cls, label, matrix):
-        return cls(label=label, dense=np.asarray(matrix))
-
-    @classmethod
-    def from_tridiagonal(cls, label, diag, offdiag):
-        return cls(
-            label=label,
-            diag=np.asarray(diag, dtype=float),
-            offdiag=np.asarray(offdiag, dtype=float),
-        )
-
-    @property
-    def is_tridiagonal(self):
-        return self.dense is None
+        """Read the three bands of a square matrix; anything off them is an error."""
+        mat = np.asarray(matrix)
+        if np.any(np.triu(mat, 2)) or np.any(np.tril(mat, -2)):
+            raise ValueError(f"{label}: matrix has entries off the three bands")
+        return cls(label, np.diag(mat).copy(), np.diag(mat, -1).copy(),
+                   np.diag(mat, 1).copy())
 
     @property
     def dimension(self):
-        if self.dense is not None:
-            return self.dense.shape[0]
         return self.diag.size
 
+    def matvec(self, vec):
+        """A @ vec in O(dim)."""
+        dtype = np.result_type(self.diag, self.offdiag, self.superdiag, vec)
+        out = (self.diag * vec).astype(dtype, copy=False)
+        out[1:] += self.offdiag * vec[:-1]
+        out[:-1] += self.superdiag * vec[1:]
+        return out
+
     def to_dense(self):
-        if self.dense is not None:
-            return self.dense
-        mat = np.diag(self.diag).astype(complex)
-        idx = np.arange(self.diag.size - 1)
-        mat[idx + 1, idx] = self.offdiag
-        mat[idx, idx + 1] = self.offdiag
-        return mat
+        """Dense view, for comparison against the Fock-space test oracles."""
+        return (np.diag(self.diag) + np.diag(self.offdiag, -1)
+                + np.diag(self.superdiag, 1))
 
 
 def ladder_amplitudes(basis: KzBasis):
@@ -89,27 +94,16 @@ def ladder_amplitudes(basis: KzBasis):
 
 
 def build_generators(basis: KzBasis):
-    """All five sector generators as matrices, keyed by label."""
+    """All five sector generators as tridiagonal operators, keyed by label."""
     dim = basis.dimension
     lam = ladder_amplitudes(basis)
-    idx = np.arange(dim - 1)
-
-    kplus = np.zeros((dim, dim))
-    kplus[idx + 1, idx] = lam
-    kminus = kplus.T.copy()
-
-    ky = np.zeros((dim, dim), dtype=complex)
-    ky[idx + 1, idx] = -0.5j * lam
-    ky[idx, idx + 1] = 0.5j * lam
-
+    zeros = np.zeros(dim - 1)
     return {
-        "Kz": OperatorMatrix.from_tridiagonal(
-            "Kz", basis.m_values, np.zeros(dim - 1)
-        ),
-        "Kx": OperatorMatrix.from_tridiagonal("Kx", np.zeros(dim), 0.5 * lam),
-        "Ky": OperatorMatrix.from_dense("Ky", ky),
-        "Kplus": OperatorMatrix.from_dense("Kplus", kplus),
-        "Kminus": OperatorMatrix.from_dense("Kminus", kminus),
+        "Kz": OperatorMatrix.hermitian("Kz", basis.m_values, zeros),
+        "Kx": OperatorMatrix.hermitian("Kx", np.zeros(dim), 0.5 * lam),
+        "Ky": OperatorMatrix.hermitian("Ky", np.zeros(dim), -0.5j * lam),
+        "Kplus": OperatorMatrix("Kplus", np.zeros(dim), lam, zeros),
+        "Kminus": OperatorMatrix("Kminus", np.zeros(dim), zeros, lam),
     }
 
 
@@ -134,7 +128,7 @@ def build_hamiltonian(params: ModelParams):
     """H = eps*K_z + v*K_x as a real symmetric tridiagonal matrix."""
     basis = basis_states(params.n_particles)
     lam = ladder_amplitudes(basis)
-    return OperatorMatrix.from_tridiagonal(
+    return OperatorMatrix.hermitian(
         "H", params.epsilon * basis.m_values, 0.5 * params.v * lam
     )
 
@@ -156,27 +150,37 @@ def casimir_matrix(basis: KzBasis):
         + (n + 6.0) / n * m**2
         + (8.0 - n**2) / (4.0 * n) * m
     )
-    return OperatorMatrix.from_tridiagonal("C", diag, np.zeros(basis.dimension - 1))
+    return OperatorMatrix.hermitian("C", diag, np.zeros(basis.dimension - 1))
 
 
-def _check_hermitian(mat):
-    scale = max(1.0, np.abs(mat).max())
-    if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL * scale:
+def _check_hermitian(op: OperatorMatrix):
+    bands = (op.diag, op.offdiag, op.superdiag)
+    scale = max(1.0, *(np.abs(band).max(initial=0.0) for band in bands))
+    skew = max(2.0 * np.abs(op.diag.imag).max(initial=0.0),
+               np.abs(op.offdiag - op.superdiag.conj()).max(initial=0.0))
+    if skew > HERMITICITY_TOL * scale:
         raise ValueError("matrix is not Hermitian")
+
+
+def _phase_gauge(offdiag):
+    """Diagonal phases D with A = D T D^dagger and T real, off-diagonal |b|."""
+    modulus = np.abs(offdiag)
+    phase = np.ones_like(offdiag)
+    coupled = modulus > 0.0
+    phase[coupled] = offdiag[coupled] / modulus[coupled]
+    gauge = np.cumprod(np.concatenate(([1.0], phase)))
+    # real phases are exactly +-1; complex products drift off unit modulus
+    return gauge / np.abs(gauge)
 
 
 def exact_spectrum(op: OperatorMatrix, want_vectors=False):
     """All eigenvalues (ascending), optionally with orthonormal vectors."""
-    if op.is_tridiagonal:
-        if want_vectors:
-            return eigh_tridiagonal(op.diag, op.offdiag)
-        return eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True), None
-    mat = np.asarray(op.dense)
-    _check_hermitian(mat)
-    if want_vectors:
-        vals, vecs = np.linalg.eigh(mat)
-        return vals, vecs
-    return np.linalg.eigvalsh(mat), None
+    _check_hermitian(op)
+    modulus = np.abs(op.offdiag)
+    if not want_vectors:
+        return eigh_tridiagonal(op.diag.real, modulus, eigvals_only=True), None
+    vals, vecs = eigh_tridiagonal(op.diag.real, modulus)
+    return vals, _phase_gauge(op.offdiag)[:, None] * vecs
 
 
 @dataclass(eq=False)
@@ -251,14 +255,9 @@ class MomentSet:
 
 def observables(psi: QuantumState, generators, params: ModelParams | None = None):
     amps = psi.amplitudes
-    kx_mat = generators["Kx"].to_dense()
-    ky_mat = generators["Ky"].to_dense()
-    m = generators["Kz"].diag if generators["Kz"].is_tridiagonal else np.real(
-        np.diag(generators["Kz"].to_dense())
-    )
-
-    x = kx_mat @ amps
-    y = ky_mat @ amps
+    x = generators["Kx"].matvec(amps)
+    y = generators["Ky"].matvec(amps)
+    m = generators["Kz"].diag
     prob = np.abs(amps) ** 2
 
     kx = float(np.real(np.vdot(amps, x)))
@@ -311,18 +310,12 @@ def variational_ground_state(spec: VariationalSpec, basis: KzBasis):
     surface as N grows.  A degenerate ground state (gap below 1e-12) is
     reported via a warning; the lowest-index eigenvector is returned.
     """
-    gens = build_generators(basis)
-    if spec.c == 0.0:
-        diag = spec.b * basis.m_values
-        offdiag = spec.a * gens["Kx"].offdiag
-        vals, vecs = eigh_tridiagonal(diag, offdiag)
-    else:
-        mat = (
-            spec.a * gens["Kx"].to_dense()
-            + spec.b * gens["Kz"].to_dense()
-            + spec.c * gens["Ky"].to_dense()
-        )
-        vals, vecs = np.linalg.eigh(mat)
+    # a K_x + c K_y has sub-diagonal (a - i c) lambda/2; real stays real
+    coupling = complex(spec.a, -spec.c) if spec.c != 0.0 else spec.a
+    prep = OperatorMatrix.hermitian(
+        "K", spec.b * basis.m_values, coupling * 0.5 * ladder_amplitudes(basis)
+    )
+    vals, vecs = exact_spectrum(prep, want_vectors=True)
     if vals.size > 1 and vals[1] - vals[0] < DEGENERACY_GAP:
         warnings.warn(
             "degenerate ground state; returning the lowest-index eigenvector",

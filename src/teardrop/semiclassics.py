@@ -303,6 +303,17 @@ def action(e, params: ModelParams):
     return min(max(s, 0.0), 2.0 * math.pi)
 
 
+def orbit(e, params: ModelParams, samples):
+    """Orbit at energy e as ``samples`` points (p, q) from p_- to p_+.
+
+    q = arccos((e - eps p)/(|v| r(p))) on [0, pi] traces one half of the
+    orbit; the other half is q -> 2 pi - q.
+    """
+    tp = turning_points(e, params)
+    p = np.linspace(tp.p_minus, tp.p_plus, samples)
+    return p, _angle(p, e, params)
+
+
 @dataclass(frozen=True)
 class SemiclassicalLevel:
     n: int

@@ -50,6 +50,28 @@ class TestBasicCommands:
                      "--out", str(out)]) == 2
         assert "even" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["mp-trajectory", "--t-max", "nan"], "--t-max"),
+        (["mf-trajectory", "--t-max", "nan"], "--t-max"),
+        (["mf-trajectory", "--t-max", "inf"], "--t-max"),
+        (["mf-trajectory", "--tol", "nan"], "--tol"),
+        (["mf-trajectory", "--samples", "0"], "--samples"),
+        (["dos", "--samples", "0"], "--samples"),
+        (["mp-trajectory", "--samples", "0"], "--samples"),
+        (["coherent-surface", "--samples", "0"], "--samples"),
+        (["quantize", "--epsilon", "nan"], "--epsilon"),
+        (["spectrum", "--v=-inf"], "--v"),
+        (["period", "--energy", "nan"], "--energy"),
+        (["figure", "--id", "fig4", "--t-max", "inf"], "--t-max"),
+    ])
+    def test_bad_number_is_usage_error(self, tmp_path, capsys, argv, flag):
+        if argv[0] != "figure":
+            argv = argv + ["--n", "10"]
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2
 

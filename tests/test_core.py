@@ -27,6 +27,12 @@ class TestMakeParams:
         with pytest.raises(ValueError):
             make_params(1.0, 1.0, bad)
 
+    @pytest.mark.parametrize("eps, v", [(math.nan, 1.0), (math.inf, 1.0),
+                                        (1.0, math.nan), (1.0, -math.inf)])
+    def test_non_finite_rejected(self, eps, v):
+        with pytest.raises(ValueError, match="finite"):
+            make_params(eps, v, 10)
+
     def test_mode_energies(self):
         params = params_from_mode_energies(1.5, 0.4, 1.0, 8)
         assert params.epsilon == pytest.approx(2 * 1.5 - 0.4, abs=0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,28 @@ class TestGenerators:
         for label in ("Kx", "Ky", "Kz", "Kplus", "Kminus"):
             diff = np.abs(gens[label].to_dense() - oracle[label]).max()
             assert diff <= 1e-12, f"{label} differs from oracle by {diff}"
+        # moments of random states against the oracle matrices
+        kx, ky, kz = (oracle[k] for k in ("Kx", "Ky", "Kz"))
+        powers = (kx, ky, kz, kx @ kx, ky @ ky, kz @ kz, kz @ kz @ kz)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            amps = rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1)
+            psi = normalized_state(amps, n)
+            a = psi.amplitudes
+            expected = [np.vdot(a, mat @ a).real for mat in powers]
+            mom = observables(psi, gens)
+            got = (mom.kx, mom.ky, mom.kz, mom.kx2, mom.ky2, mom.kz2, mom.kz3)
+            assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+
+    def test_no_dense_storage(self):
+        basis = basis_states(2000)
+        tracemalloc.start()
+        try:
+            build_generators(basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("n", list(range(2, 21, 2)))
     def test_commutation_relations(self, n):
@@ -139,8 +162,36 @@ class TestSpectrum:
         gram = vecs.T @ vecs
         assert np.abs(gram - np.eye(21)).max() <= 1e-10
 
+    @pytest.mark.parametrize("coeffs", [None, (0.3, 0.1, 0.5), (-1.2, 0.7, -0.4)])
+    def test_complex_eigenvectors(self, coeffs):
+        # K_y itself, then a K_x + b K_z + c K_y with c != 0
+        gens = build_generators(basis_states(200))
+        if coeffs is None:
+            op = gens["Ky"]
+        else:
+            op = OperatorMatrix.from_dense("K", sum(
+                coef * gens[label].to_dense()
+                for coef, label in zip(coeffs, ("Kx", "Kz", "Ky"))
+            ))
+        mat = op.to_dense()
+        vals, vecs = exact_spectrum(op, want_vectors=True)
+        assert np.abs(vecs.conj().T @ vecs - np.eye(101)).max() <= 1e-12
+        residual = np.linalg.norm(mat @ vecs - vecs * vals, 2)
+        assert residual <= 1e-12 * np.linalg.norm(mat, 2)
+
+    def test_from_dense_rejects_entries_off_the_bands(self):
+        mat = np.diag([1.0, 2.0, 3.0])
+        mat[0, 2] = mat[2, 0] = 0.5
+        with pytest.raises(ValueError, match="off the three bands"):
+            OperatorMatrix.from_dense("custom", mat)
+
     def test_non_hermitian_rejected(self):
         bad = OperatorMatrix.from_dense("custom", np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            exact_spectrum(bad)
+
+    def test_imaginary_diagonal_rejected(self):
+        bad = OperatorMatrix.from_dense("custom", np.diag([1j, 0.0]))
         with pytest.raises(ValueError, match="Hermitian"):
             exact_spectrum(bad)
 

@@ -21,9 +21,12 @@ from teardrop.semiclassics import (
 TWO_PI = 2.0 * math.pi
 
 
-def elliptic_quadrature_oracle(m, nodes=2000):
+_ORACLE_NODES = np.polynomial.legendre.leggauss(2000)
+
+
+def elliptic_quadrature_oracle(m):
     """Direct Gauss-Legendre evaluation of the defining integral of K."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _ORACLE_NODES
     theta = 0.25 * math.pi * (x + 1.0)
     integrand = 1.0 / np.sqrt(1.0 - m * np.sin(theta) ** 2)
     return 0.25 * math.pi * float(np.dot(integrand, w))

@@ -36,6 +36,7 @@ from .semiclassics import (
     density_of_states,
     orbit,
     period,
+    period_curve,
     potential_curves,
     quantize,
     wkb_state,
@@ -180,20 +181,11 @@ def cmd_quantize(args):
 
 def cmd_dos(args):
     params = _params(args)
-    emin, emax = energy_range(params)
-    margin = 1e-9 * (emax - emin)
-    grid = np.linspace(emin + margin, emax - margin, args.samples)
-    rows = []
-    for e in grid:
-        t = period(float(e), params)
-        rows.append(
-            (
-                float(e),
-                float(e / params.eta),
-                float(t),
-                float(density_of_states(float(e), params)),
-            )
-        )
+    energies, periods = period_curve(params, args.samples)
+    rows = [
+        (float(e), float(e / params.eta), float(t), float(t / (2.0 * math.pi)))
+        for e, t in zip(energies, periods)
+    ]
     return TableArtifact(
         ["energy_mf", "energy_mp", "period", "dn_dE"],
         rows,
@@ -204,7 +196,7 @@ def cmd_dos(args):
 def cmd_period(args):
     params = _params(args)
     t = period(args.energy, params)
-    rows = [(float(args.energy), float(t), float(density_of_states(args.energy, params)))]
+    rows = [(float(args.energy), float(t), float(t / (2.0 * math.pi)))]
     return TableArtifact(
         ["energy_mf", "period", "dn_dE"],
         rows,

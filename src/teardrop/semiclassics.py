@@ -70,12 +70,21 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import loggamma
+from scipy.special import loggamma, roots_legendre
 
 from .core import ModelParams, basis_states, teardrop_radius
 from .meanfield import critical_epsilon, energy_range
 
 ACTION_ABS_TOL = 1e-10
+# rows x nodes evaluated at once by the batched quadrature: 128 kB per
+# work array, whatever the number of intervals
+QUADRATURE_BLOCK = 1 << 14
+# Smallest |v|/|eps| (v = 0 aside) at which levels are solved.  The level
+# solver's bracket sits 1e-13 of the span inside the band edges, where the
+# turning-point pair next to a vertex splits by ~2e-6 |v|/|eps| in u = 1 + 2p;
+# below a few ulp of u the edge actions come out wrong, and brackets failed
+# from |v|/|eps| = 4.2e-10 down in a scan over eps at N = 20.
+WEAK_COUPLING = 1e-8
 # a nearly-double root is conditioned to ~sqrt(machine eps) in absolute
 # position, so the escape diagnostic must sit well above that floor
 ROOT_ESCAPE_TOL = 1e-6
@@ -117,13 +126,15 @@ class TurningPoints:
     energy: float
 
 
-def _validate_energy(e, params, tol=1e-10):
-    emin, emax = energy_range(params)
+def _validate_energy(e, erange, tol=1e-10):
+    """e clamped into the classical range erange = (emin, emax), which the
+    callers compute once per spectrum with ``energy_range``."""
+    emin, emax = erange
     if e < emin - tol or e > emax + tol:
         raise ValueError(
             f"energy {e} outside the classical range [{emin}, {emax}]"
         )
-    return min(max(e, emin), emax), emin, emax
+    return min(max(e, emin), emax)
 
 
 def _cubic_roots(e, params):
@@ -178,9 +189,14 @@ def _cubic_roots(e, params):
 
 
 def turning_points(e, params: ModelParams):
+    return _turning_points(e, params, energy_range(params))
+
+
+def _turning_points(e, params, erange):
     if params.v == 0.0:
         raise ValueError("turning-point cubic degenerates at v = 0")
-    e, emin, emax = _validate_energy(e, params)
+    e = _validate_energy(e, erange)
+    emin, emax = erange
     roots = _cubic_roots(e, params)
     p0, pm, pp = (0.5 * (u - 1.0) for u in roots)
 
@@ -224,14 +240,20 @@ def turning_points(e, params: ModelParams):
 
 @lru_cache(maxsize=32)
 def _gauss_nodes(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return roots_legendre(n)
+
+
+def _radius(p):
+    """r(p) on p already clipped to [-1/2, 1/2]: the expression of
+    ``teardrop_radius`` without its range check, which the quadrature
+    integrands below would otherwise repeat at every node."""
+    return np.sqrt(np.maximum(0.25 * (1.0 - 2.0 * p) * (1.0 + 2.0 * p) ** 2, 0.0))
 
 
 def _angle(p, e, params):
     """Lattice wavenumber q(p) = arccos((e - eps p)/(|v| r(p))) on [0, pi]."""
     p = np.asarray(p, dtype=float)
-    r = teardrop_radius(np.clip(p, -0.5, 0.5))
+    r = _radius(np.clip(p, -0.5, 0.5))
     num = e - params.epsilon * p
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(r > 0.0, num / (abs(params.v) * np.where(r > 0, r, 1.0)),
@@ -239,38 +261,45 @@ def _angle(p, e, params):
     return np.arccos(np.clip(ratio, -1.0, 1.0))
 
 
-def _sin_substituted_integral(f, lo, hi, abs_tol=ACTION_ABS_TOL, start=64,
-                              max_nodes=4096):
-    """Integrate f over [lo, hi] after p = mid + half*sin(theta).
+def _sin_substituted_integrals(f, lo, hi, abs_tol=ACTION_ABS_TOL, start=64,
+                               max_nodes=4096):
+    """Integrals of f over the intervals [lo_i, hi_i] (arrays, hi_i >= lo_i),
+    each after the substitution p = mid + half*sin(theta).
 
     The substitution absorbs the square-root behaviour that f inherits at
-    turning-point endpoints, so Gauss-Legendre converges rapidly; node
-    counts double until the result is stable to abs_tol.
+    turning-point endpoints, so Gauss-Legendre converges rapidly.  Every
+    row starts at ``start`` nodes and doubles them until its value changes
+    by less than abs_tol, keeping the last value once max_nodes is passed;
+    converged rows retire.  f acts elementwise on an array of p and is
+    evaluated on at most QUADRATURE_BLOCK rows x nodes at a time.
     """
-    width = hi - lo
-    if width <= 1e-14:
-        return float(f(np.array([(lo + hi) / 2.0]))[0]) * max(width, 0.0)
     mid = 0.5 * (lo + hi)
-    half = 0.5 * width
-    prev = None
+    half = 0.5 * (hi - lo)
+    out = np.empty(mid.shape)
+    rows = np.arange(mid.size)
+    prev = np.full(mid.size, np.inf)
     n = start
-    while True:
+    while rows.size:
         x, w = _gauss_nodes(n)
         theta = 0.5 * math.pi * x
-        p = mid + half * np.sin(theta)
-        weights = w * (0.5 * math.pi) * half * np.cos(theta)
-        val = float(np.dot(f(p), weights))
-        if prev is not None and abs(val - prev) < abs_tol:
-            return val
-        prev = val
+        sin_theta = np.sin(theta)
+        weights = w * (0.5 * math.pi) * np.cos(theta)
+        step = max(1, QUADRATURE_BLOCK // n)
+        val = np.empty(rows.size)
+        for i in range(0, rows.size, step):
+            block = slice(i, i + step)
+            p = mid[block, None] + half[block, None] * sin_theta
+            val[block] = (f(p) @ weights) * half[block]
         n *= 2
+        done = np.abs(val - prev) < abs_tol
         if n > max_nodes:
-            return val
-
-
-def _angle_integral(lo, hi, e, params, abs_tol=ACTION_ABS_TOL):
-    return _sin_substituted_integral(lambda p: _angle(p, e, params), lo, hi,
-                                     abs_tol)
+            done[:] = True
+        if done.any():
+            out[rows[done]] = val[done]
+            keep = ~done
+            rows, mid, half, val = rows[keep], mid[keep], half[keep], val[keep]
+        prev = val
+    return out
 
 
 def _enclosed_area(tp: TurningPoints, s_tilde):
@@ -292,13 +321,19 @@ def _enclosed_area(tp: TurningPoints, s_tilde):
 
 def action(e, params: ModelParams):
     """Enclosed phase-space area S(e); monotone from 0 to 2 pi."""
-    e, _, _ = _validate_energy(e, params)
+    return _action(e, params, energy_range(params))
+
+
+def _action(e, params, erange):
+    e = _validate_energy(e, erange)
     if params.v == 0.0:
         # horizontal orbits p = e/eps: the area below is exact
         s = 2.0 * math.pi * (0.5 + e / abs(params.epsilon))
         return min(max(s, 0.0), 2.0 * math.pi)
-    tp = turning_points(e, params)
-    s_tilde = _angle_integral(tp.p_minus, tp.p_plus, e, params)
+    tp = _turning_points(e, params, erange)
+    s_tilde = float(_sin_substituted_integrals(
+        lambda p: _angle(p, e, params), np.array([tp.p_minus]), np.array([tp.p_plus])
+    )[0])
     s = _enclosed_area(tp, s_tilde)
     return min(max(s, 0.0), 2.0 * math.pi)
 
@@ -368,10 +403,19 @@ def _cone_phase(a):
     return lift - _connor_phase(a)
 
 
-def _solve_level(phase, target, params):
+def _check_level_coupling(params):
+    if params.v != 0.0 and abs(params.v) < WEAK_COUPLING * abs(params.epsilon):
+        raise ValueError(
+            f"coupling v = {params.v} is too weak against eps = "
+            f"{params.epsilon} to solve semiclassical levels: need "
+            f"|v| >= {WEAK_COUPLING} |eps|, or v = 0"
+        )
+
+
+def _solve_level(phase, target, erange):
     """Energy at which the increasing function phase(e) reaches target,
-    by Brent's method on the classical energy range of params."""
-    emin, emax = energy_range(params)
+    by Brent's method on the classical energy range erange."""
+    emin, emax = erange
     span = emax - emin
     return brentq(
         lambda e: phase(e) - target,
@@ -383,22 +427,24 @@ def _solve_level(phase, target, params):
 
 @lru_cache(maxsize=16)
 def _quantize_cached(params: ModelParams):
+    _check_level_coupling(params)
     eps = params.epsilon
     m_weyl = params.n_particles + 1.5
     weyl = replace(params, v=params.v * math.sqrt(m_weyl / params.n_particles))
     eta_w = 2.0 / m_weyl
     omega_sq = 0.5 * weyl.v**2 - 0.25 * eps**2
     barrier = eta_w * math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0
+    erange = energy_range(weyl)
 
     def phase(e):
         """S_W(e)/eta_W + pi - F(a(e)); equals 2 pi (n + 1/2) at level n."""
         gap = -0.5 * eps - e
         a = gap / barrier if barrier > 0.0 else math.copysign(math.inf, gap)
-        return action(e, weyl) / eta_w + math.pi - _cone_phase(a)
+        return _action(e, weyl, erange) / eta_w + math.pi - _cone_phase(a)
 
     levels = []
     for n in range(params.n_particles // 2 + 1):
-        e_w = _solve_level(phase, 2.0 * math.pi * (n + 0.5), weyl)
+        e_w = _solve_level(phase, 2.0 * math.pi * (n + 0.5), erange)
         energy_mp = 0.5 * m_weyl * e_w + 0.125 * eps
         levels.append(
             SemiclassicalLevel(
@@ -437,16 +483,23 @@ def elliptic_k(m):
 
 def period(e, params: ModelParams):
     """Orbit period T(e); math.inf on the subcritical separatrix."""
+    return _period(e, params, energy_range(params) if params.v != 0.0 else None)
+
+
+def _period(e, params, erange):
+    """period(e, params) on the classical energy range erange (unused at
+    v = 0, where every orbit is a rotation of period 2 pi/|eps|)."""
     if params.v == 0.0:
         if params.epsilon == 0.0:
             raise ValueError("period undefined for eps = v = 0")
         return 2.0 * math.pi / abs(params.epsilon)
-    e, emin, emax = _validate_energy(e, params)
+    e = _validate_energy(e, erange)
+    emin, emax = erange
     span = max(1.0, emax - emin)
     subcritical = abs(params.epsilon) < critical_epsilon(params) - 1e-12
     if subcritical and abs(e + 0.5 * params.epsilon) <= 1e-12 * span:
         return math.inf
-    tp = turning_points(e, params)
+    tp = _turning_points(e, params, erange)
     denom = tp.p_plus - tp.p_zero
     if denom < 1e-14:
         return math.inf
@@ -461,6 +514,20 @@ def density_of_states(e, params: ModelParams):
     """Many-particle states per unit many-particle energy at e = eta E."""
     t = period(e, params)
     return math.inf if math.isinf(t) else t / (2.0 * math.pi)
+
+
+def period_curve(params: ModelParams, samples):
+    """Orbit periods on ``samples`` energies spread evenly over the
+    classical range, 1e-9 of its span in from either end.
+
+    Returns the energies and the periods; T/(2 pi) is the density of
+    states, infinite on the separatrix like T.
+    """
+    erange = energy_range(params)
+    emin, emax = erange
+    margin = 1e-9 * (emax - emin)
+    energies = np.linspace(emin + margin, emax - margin, samples)
+    return energies, np.array([_period(float(e), params, erange) for e in energies])
 
 
 @dataclass(eq=False)
@@ -498,7 +565,7 @@ def _wkb_phase(p, tp: TurningPoints, s_tilde_p):
 
 def _decay_exponent(p, e, params):
     p = np.asarray(p, dtype=float)
-    r = teardrop_radius(np.clip(p, -0.5, 0.5))
+    r = _radius(np.clip(p, -0.5, 0.5))
     num = np.abs(e - params.epsilon * p)
     with np.errstate(divide="ignore"):
         ratio = np.where(r > 0.0, num / (abs(params.v) * np.where(r > 0, r, 1.0)),
@@ -516,6 +583,13 @@ def wkb_state(n, params: ModelParams):
     there the harmonic ansatz breaks down (no Airy uniformisation is
     attempted).  The discrete amplitudes are L2-normalised.
 
+    The phase integrals int_{p_-}^{p} q dp of all allowed lattice points
+    go through the batched sine-substituted Gauss-Legendre rule of
+    ``action`` in one call, one row per point, and so do the decay
+    integrals from each forbidden point to its nearer turning point; each
+    row refines its own node count, so the cost is a few array passes
+    over the lattice rather than one adaptive integral per point.
+
     The envelope is built at the energy of the plain torus condition
     S(e) = 2 pi eta (n + 1/2) on the mean-field flow, which its phase
     assumes; ``energy_mf`` reports that energy, not the uniform Weyl level
@@ -524,12 +598,15 @@ def wkb_state(n, params: ModelParams):
     basis = basis_states(params.n_particles)
     if not 0 <= n < basis.dimension:
         raise ValueError(f"level index {n} outside 0..{basis.dimension - 1}")
+    _check_level_coupling(params)
     eta = params.eta
+    erange = energy_range(params)
     e = _solve_level(
-        lambda x: action(x, params) / eta, 2.0 * math.pi * (n + 0.5), params
+        lambda x: _action(x, params, erange) / eta, 2.0 * math.pi * (n + 0.5),
+        erange,
     )
-    tp = turning_points(e, params)
-    t_period = period(e, params)
+    tp = _turning_points(e, params, erange)
+    t_period = _period(e, params, erange)
     if math.isinf(t_period):
         t_period = 1.0  # constant prefactor; removed by normalisation
 
@@ -539,28 +616,30 @@ def wkb_state(n, params: ModelParams):
         np.abs(p_grid - tp.p_plus) < 2.0 * eta
     )
 
-    vabs = abs(params.v)
-    amp_sq = np.zeros(basis.dimension)
-    for i, p in enumerate(p_grid):
-        radicand = vabs**2 * teardrop_radius(np.clip(p, -0.5, 0.5)) ** 2 - (
-            e - params.epsilon * p
-        ) ** 2
-        if allowed[i]:
-            s_tilde = _angle_integral(tp.p_minus, p, e, params)
-            phase = _wkb_phase(p, tp, s_tilde)
-            w_cl = 1.0 / (2.0 * t_period * math.sqrt(max(radicand, 1e-300)))
-            amp_sq[i] = 2.0 * w_cl * math.cos(phase / eta - 0.25 * math.pi) ** 2
-        else:
-            if p <= tp.p_minus:
-                decay = _sin_substituted_integral(
-                    lambda x: _decay_exponent(x, e, params), p, tp.p_minus
-                )
-            else:
-                decay = _sin_substituted_integral(
-                    lambda x: _decay_exponent(x, e, params), tp.p_plus, p
-                )
-            w_cl = 1.0 / (2.0 * t_period * math.sqrt(max(-radicand, 1e-300)))
-            amp_sq[i] = 0.5 * w_cl * math.exp(-2.0 * max(decay, 0.0) / eta)
+    radicand = abs(params.v) ** 2 * _radius(np.clip(p_grid, -0.5, 0.5)) ** 2 - (
+        e - params.epsilon * p_grid
+    ) ** 2
+    w_cl = 1.0 / (2.0 * t_period * np.sqrt(np.maximum(
+        np.where(allowed, radicand, -radicand), 1e-300)))
+    amp_sq = np.empty(basis.dimension)
+
+    p_in = p_grid[allowed]
+    s_tilde = _sin_substituted_integrals(
+        lambda p: _angle(p, e, params), np.full(p_in.size, tp.p_minus), p_in
+    )
+    phase = _wkb_phase(p_in, tp, s_tilde)
+    amp_sq[allowed] = 2.0 * w_cl[allowed] * np.cos(phase / eta - 0.25 * math.pi) ** 2
+
+    p_out = p_grid[~allowed]
+    left = p_out <= tp.p_minus
+    decay = _sin_substituted_integrals(
+        lambda p: _decay_exponent(p, e, params),
+        np.where(left, p_out, tp.p_plus),
+        np.where(left, tp.p_minus, p_out),
+    )
+    amp_sq[~allowed] = (
+        0.5 * w_cl[~allowed] * np.exp(-2.0 * np.maximum(decay, 0.0) / eta)
+    )
 
     amplitudes = np.sqrt(amp_sq)
     amplitudes /= np.linalg.norm(amplitudes)

@@ -72,6 +72,16 @@ class TestBasicCommands:
         assert f"argument {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("v", ["1e-300", "1e-154", "1e-100", "1e-13"])
+    def test_weak_coupling_is_usage_error(self, tmp_path, capsys, v):
+        # v^2 underflows, the cubic's coefficients overflow, or the
+        # turning points at the band edges are not resolved
+        out = tmp_path / "q.csv"
+        assert main(["quantize", "--n", "20", "--epsilon", "1", "--v", v,
+                     "--out", str(out)]) == 2
+        assert f"coupling v = {float(v)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2
 

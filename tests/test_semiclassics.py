@@ -1,13 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from teardrop.core import make_params
+import teardrop.cli
+import teardrop.semiclassics
+from teardrop.core import basis_states, make_params
 from teardrop.meanfield import energy_range
 from teardrop.quantum import build_hamiltonian, exact_spectrum
 from teardrop.semiclassics import (
+    ACTION_ABS_TOL,
+    _angle,
+    _decay_exponent,
     _gauss_nodes,
+    _sin_substituted_integrals,
+    _wkb_phase,
     action,
     density_of_states,
     elliptic_k,
@@ -43,6 +52,66 @@ def period_quadrature_oracle(e, params, nodes=800):
     p = mid + half * np.sin(theta)
     val = float(np.dot(1.0 / np.sqrt(p - tp.p_zero), w)) * 0.5 * math.pi
     return 2.0 / (abs(params.v) * math.sqrt(2.0)) * val
+
+
+def one_interval_rule(f, lo, hi, abs_tol=ACTION_ABS_TOL, start=64,
+                      max_nodes=4096):
+    """The sine-substituted Gauss-Legendre rule on a single interval, node
+    count doubled until the value is stable to abs_tol: the per-interval
+    loop that the batched rule replaces."""
+    width = hi - lo
+    if width <= 1e-14:
+        return float(f(np.array([(lo + hi) / 2.0]))[0]) * max(width, 0.0)
+    mid, half = 0.5 * (lo + hi), 0.5 * width
+    prev = None
+    n = start
+    while True:
+        x, w = _gauss_nodes(n)
+        theta = 0.5 * math.pi * x
+        p = mid + half * np.sin(theta)
+        val = float(np.dot(f(p), w * (0.5 * math.pi) * half * np.cos(theta)))
+        if (prev is not None and abs(val - prev) < abs_tol) or 2 * n > max_nodes:
+            return val
+        prev = val
+        n *= 2
+
+
+def wkb_quad_oracle(state, params):
+    """The amplitudes of ``state`` rebuilt point by point, with every phase
+    and decay integral done by adaptive scipy quadrature on the envelope's
+    own energy and turning points."""
+    e, tp, eta = state.energy_mf, state.turning, params.eta
+    vabs, eps = abs(params.v), params.epsilon
+    t_period = period(e, params)
+    if math.isinf(t_period):
+        t_period = 1.0
+
+    def radius(p):
+        p = min(max(p, -0.5), 0.5)
+        return math.sqrt(max(0.25 * (1.0 - 2.0 * p) * (1.0 + 2.0 * p) ** 2, 0.0))
+
+    def angle(p):
+        return math.acos(min(max((e - eps * p) / (vabs * radius(p)), -1.0), 1.0))
+
+    def decay_rate(p):
+        return math.acosh(max(abs(e - eps * p) / (vabs * radius(p)), 1.0))
+
+    amp_sq = []
+    for p, inside in zip(eta * state.m_values, state.allowed):
+        radicand = vabs**2 * radius(p) ** 2 - (e - eps * p) ** 2
+        w_cl = 1.0 / (2.0 * t_period * math.sqrt(max(abs(radicand), 1e-300)))
+        if inside:
+            s_tilde = quad(angle, tp.p_minus, p, epsabs=1e-12, epsrel=1e-12,
+                           limit=200)[0]
+            phase = _wkb_phase(p, tp, s_tilde)
+            amp_sq.append(2.0 * w_cl * math.cos(phase / eta - 0.25 * math.pi) ** 2)
+        else:
+            lo, hi = (p, tp.p_minus) if p <= tp.p_minus else (tp.p_plus, p)
+            decay = quad(decay_rate, lo, hi, epsabs=1e-12, epsrel=1e-12,
+                         limit=200)[0]
+            amp_sq.append(0.5 * w_cl * math.exp(-2.0 * max(decay, 0.0) / eta))
+    amplitudes = np.sqrt(amp_sq)
+    return amplitudes / np.linalg.norm(amplitudes)
 
 
 class TestPotentialCurves:
@@ -209,6 +278,55 @@ class TestAction:
             h = 1e-6
             ds = (action(e + h, params) - action(e - h, params)) / (2 * h)
             assert ds == pytest.approx(period(e, params), rel=1e-5)
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize("eps, frac", [
+        (-1.2, 0.3), (1.2, 0.05), (1.6, 0.5), (2.0, 0.93), (-0.5, 0.7),
+    ])
+    def test_matches_one_interval_rule(self, eps, frac):
+        """Row by row, on phase intervals (p_-, p) and the whole orbit, on
+        decay intervals from each forbidden point to its turning point, and
+        on width-0 intervals at both turning points; the 1500-point grid
+        needs more than one block at 64 nodes."""
+        params = make_params(eps, 1.0, 10)
+        emin, emax = energy_range(params)
+        e = emin + frac * (emax - emin)
+        tp = turning_points(e, params)
+        p = np.linspace(-0.5 + 1e-9, 0.5 - 1e-9, 1500)
+        inside = p[(p > tp.p_minus) & (p < tp.p_plus)]
+        outside = p[(p <= tp.p_minus) | (p >= tp.p_plus)]
+        cases = (
+            (_angle,
+             np.concatenate([np.full(inside.size + 2, tp.p_minus), [tp.p_plus]]),
+             np.concatenate([inside, [tp.p_plus, tp.p_minus, tp.p_plus]])),
+            (_decay_exponent,
+             np.concatenate([np.where(outside <= tp.p_minus, outside, tp.p_plus),
+                             [tp.p_minus, tp.p_plus]]),
+             np.concatenate([np.where(outside <= tp.p_minus, tp.p_minus, outside),
+                             [tp.p_minus, tp.p_plus]])),
+        )
+        for integrand, lo, hi in cases:
+            def f(x):
+                return integrand(x, e, params)
+
+            batched = _sin_substituted_integrals(f, lo, hi)
+            reference = [one_interval_rule(f, a, b) for a, b in zip(lo, hi)]
+            assert np.abs(batched - reference).max() <= 1e-14
+            assert batched[-2:].tolist() == [0.0, 0.0]
+
+    def test_one_row_is_action(self):
+        params = make_params(0.8, 1.0, 10)
+        for e in (-0.45, -0.2, 0.3, 0.55):
+            tp = turning_points(e, params)
+
+            def f(x):
+                return _angle(x, e, params)
+
+            assert _sin_substituted_integrals(
+                f, np.array([tp.p_minus]), np.array([tp.p_plus])
+            )[0] == pytest.approx(one_interval_rule(f, tp.p_minus, tp.p_plus),
+                                  abs=1e-14)
 
 
 class TestEllipticIntegral:
@@ -449,6 +567,69 @@ class TestWKBStates:
         assert np.array_equal(state.unreliable, near)
         assert near.any()
 
+    @pytest.mark.parametrize("eps", [-1.6, -1.2, 1.2, 1.6])
+    @pytest.mark.parametrize("n, levels", [(40, (0, 1, 10, 19, 20)),
+                                           (200, (4, 50, 96))])
+    def test_corners_against_pointwise_quadrature(self, n, levels, eps):
+        """Both sides of eps = +-sqrt(2), levels in the bottom and top tenth
+        of the sector: normalisation, flags, and the amplitudes of the
+        unflagged rows against adaptive quadrature at every point."""
+        params = make_params(eps, 1.0, n)
+        p_grid = params.eta * basis_states(n).m_values
+        for level in levels:
+            state = wkb_state(level, params)
+            tp = state.turning
+            assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+            assert np.all(np.isfinite(state.amplitudes))
+            assert np.array_equal(state.allowed,
+                                  (p_grid > tp.p_minus) & (p_grid < tp.p_plus))
+            assert np.array_equal(
+                state.unreliable,
+                (np.abs(p_grid - tp.p_minus) < 2 * params.eta)
+                | (np.abs(p_grid - tp.p_plus) < 2 * params.eta),
+            )
+            oracle = wkb_quad_oracle(state, params)
+            kept = ~state.unreliable
+            assert np.abs(state.amplitudes - oracle)[kept].max() <= 1e-10, level
+
     def test_level_index_validated(self):
         with pytest.raises(ValueError):
             wkb_state(21, make_params(0.5, 1.0, 40))
+
+
+class TestArrayPasses:
+    def test_energy_range_once_per_spectrum(self, monkeypatch, tmp_path):
+        """quantize, wkb_state and the dos command take the classical range
+        once, whatever the number of levels or grid points."""
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return energy_range(params)
+
+        monkeypatch.setattr(teardrop.semiclassics, "energy_range", counted)
+        monkeypatch.setattr(teardrop.cli, "energy_range", counted)
+
+        def count(run):
+            calls.clear()
+            run()
+            return len(calls)
+
+        for n in (20, 200):
+            params = make_params(0.7123, 1.0, n)
+            assert count(lambda: quantize(params)) == 1
+            assert count(lambda: wkb_state(n // 4, params)) == 1
+            for samples in (10, 400):
+                argv = ["dos", "--n", str(n), "--epsilon", "0.7123", "--v", "1",
+                        "--samples", str(samples), "--out", str(tmp_path / "d.csv")]
+                assert count(lambda: teardrop.cli.main(argv)) == 1
+
+    def test_wkb_state_memory_is_bounded(self):
+        params = make_params(0.3, 1.0, 10000)
+        tracemalloc.start()
+        try:
+            wkb_state(2500, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -189,6 +188,11 @@ def fixed_points(params: ModelParams):
     # quadratic factor 9 v^2 s^2 - (3 v^2 - 2 eps^2) s + v^2/4 - eps^2
     if v != 0.0:
         a = 9.0 * v**2
+        if a == 0.0:
+            raise ValueError(
+                f"coupling v = {v} is too weak for the fixed-point quadratic: "
+                "9 v^2 underflows to 0"
+            )
         b = -(3.0 * v**2 - 2.0 * eps**2)
         c = 0.25 * v**2 - eps**2
         # b^2 - 4ac collapses to 4 eps^2 (eps^2 + 6 v^2): exact, never
@@ -260,13 +264,6 @@ class Trajectory:
     sz: np.ndarray
     energy_drift: float
     surface_drift: float
-
-    @cached_property
-    def points(self):
-        return [
-            BlochPoint(float(x), float(y), float(z))
-            for x, y, z in zip(self.sx, self.sy, self.sz)
-        ]
 
 
 def integrate_trajectory(

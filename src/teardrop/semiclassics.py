@@ -137,6 +137,13 @@ def _validate_energy(e, erange, tol=1e-10):
     return min(max(e, emin), emax)
 
 
+def _cubic_coupling_error(params):
+    return ValueError(
+        f"coupling v = {params.v} is too weak against eps = {params.epsilon} "
+        "for the turning-point cubic in double precision"
+    )
+
+
 def _cubic_roots(e, params):
     """Three real roots u = 1 + 2p of the turning-point cubic, ascending.
 
@@ -152,11 +159,19 @@ def _cubic_roots(e, params):
     pair root is bracketed against an end of [0, 2].  Every root is thus
     found by bracketing on f itself, whose first term resolves a pair that
     splits by only ~|v| (weak coupling).
+
+    A coupling so weak against eps that v^2, the bracket end or f there
+    leaves the double range raises ``ValueError``.
     """
     eps, v2 = params.epsilon, params.v**2
     de = e + 0.5 * eps
+    if v2 == 0.0:
+        raise _cubic_coupling_error(params)
     if de == 0.0:
-        return sorted((0.0, 0.0, 2.0 - eps**2 / v2))
+        u0 = 2.0 - eps**2 / v2
+        if math.isinf(u0):
+            raise _cubic_coupling_error(params)
+        return sorted((0.0, 0.0, u0))
 
     def f(u):
         return (eps * u - 2.0 * de) ** 2 - v2 * (2.0 - u) * u * u
@@ -170,7 +185,14 @@ def _cubic_roots(e, params):
     b = (eps**2 - 2.0 * v2) / v2
     c = -4.0 * eps * de / v2
     d = 4.0 * de**2 / v2
-    u0 = root(-2.0 * (1.0 + max(abs(b), abs(c), abs(d))), 0.0)
+    lo = -2.0 * (1.0 + max(abs(b), abs(c), abs(d)))
+    # on [lo, 0] the square in f is largest at lo, and there its ** raises
+    # OverflowError where g * g gives inf; the cubic term may reach inf,
+    # which leaves f(lo) = -inf with the sign that brentq needs
+    g = eps * lo - 2.0 * de
+    if not math.isfinite(g * g):
+        raise _cubic_coupling_error(params)
+    u0 = root(lo, 0.0)
     # pair product and half-sum; b >= u0 exactly when the pair sum is at
     # most 2|u0|, and each branch then subtracts terms of which the result
     # keeps at least half
@@ -367,10 +389,6 @@ class SemiclassicalSpectrum:
         return np.array([lv.energy_mp for lv in self.levels])
 
     @property
-    def energies_mf(self):
-        return np.array([lv.energy_mf for lv in self.levels])
-
-    @property
     def actions(self):
         return np.array([lv.action for lv in self.levels])
 
@@ -425,8 +443,10 @@ def _solve_level(phase, target, erange):
     )
 
 
-@lru_cache(maxsize=16)
-def _quantize_cached(params: ModelParams):
+def quantize(params: ModelParams):
+    """Semiclassical levels n = 0 .. N/2 from the uniform condition on the
+    Weyl-reduced flow (see the module docstring), each solved with Brent's
+    method on the full energy range."""
     _check_level_coupling(params)
     eps = params.epsilon
     m_weyl = params.n_particles + 1.5
@@ -455,13 +475,6 @@ def _quantize_cached(params: ModelParams):
             )
         )
     return SemiclassicalSpectrum(params=params, levels=levels)
-
-
-def quantize(params: ModelParams):
-    """Semiclassical levels n = 0 .. N/2 from the uniform condition on the
-    Weyl-reduced flow (see the module docstring), each solved with Brent's
-    method on the full energy range."""
-    return _quantize_cached(params)
 
 
 def elliptic_k(m):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from teardrop import tables
 from teardrop.cli import main
 
 
@@ -72,15 +73,33 @@ class TestBasicCommands:
         assert f"argument {flag}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("v", ["1e-300", "1e-154", "1e-100", "1e-13"])
-    def test_weak_coupling_is_usage_error(self, tmp_path, capsys, v):
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(["quantize", "--n", "20", "--epsilon", "1", "--v", v], id=v)
+          for v in ("1e-300", "1e-154", "1e-100", "1e-13")),
+        *(pytest.param([*cmd, "--v", v], id=f"{cmd[0]}-{v}")
+          for cmd in (["dos", "--n", "20", "--epsilon", "1", "--samples", "5"],
+                      ["period", "--n", "20", "--epsilon", "1", "--energy", "0.1"])
+          for v in ("1e-300", "1e-100", "1e-154")),
+        pytest.param(["fixed-points", "--n", "20", "--epsilon", "1", "--v", "1e-300"],
+                     id="fixed-points-1e-300"),
+    ])
+    def test_weak_coupling_is_usage_error(self, tmp_path, capsys, argv):
         # v^2 underflows, the cubic's coefficients overflow, or the
         # turning points at the band edges are not resolved
         out = tmp_path / "q.csv"
-        assert main(["quantize", "--n", "20", "--epsilon", "1", "--v", v,
-                     "--out", str(out)]) == 2
-        assert f"coupling v = {float(v)}" in capsys.readouterr().err
+        assert main(argv + ["--out", str(out)]) == 2
+        v = float(argv[argv.index("--v") + 1])
+        assert f"coupling v = {v}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("v", ["1e-100", "1e-154"])
+    def test_weak_coupling_fixed_points(self, tmp_path, v):
+        # 9 v^2 is still a normal or subnormal double
+        out = tmp_path / "fp.csv"
+        assert main(["fixed-points", "--n", "20", "--epsilon", "1", "--v", v,
+                     "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 2
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2
@@ -287,3 +306,36 @@ class TestFigures:
         monkeypatch.chdir(tmp_path)
         assert main(["kx-spectrum", "--n", "8"]) == 0
         assert (tmp_path / "kx-spectrum.csv").exists()
+
+
+class TestTables:
+    """Every subcommand is the ``teardrop.tables`` function of the same name,
+    called with the flag values as keyword arguments."""
+
+    @pytest.mark.parametrize("builder, flags", [
+        ("spectrum", dict(n=10, epsilon=0.5, v=1.0)),
+        ("kx_spectrum", dict(n=8)),
+        ("sweep_spectrum", dict(n=6, v=1.0, epsilon_range="-2:2:3")),
+        ("quantize", dict(n=10, epsilon=1.0, v=1.0)),
+        ("dos", dict(n=20, epsilon=1.0, v=1.0, samples=7)),
+        ("period", dict(n=10, epsilon=2.0, v=1.0, energy=-0.5)),
+        ("fixed_points", dict(n=10, epsilon=1.2, v=1.0)),
+        ("mf_trajectory", dict(n=10, epsilon=1.0, v=1.0, init="ground-kx",
+                               t_max=2.0, samples=5, tol=1e-10)),
+        ("mp_trajectory", dict(n=10, epsilon=1.0, v=1.0, init="bloch:0.5,0,0",
+                               t_max=1.0, samples=3)),
+        ("wkb_state", dict(n=20, epsilon=0.5, v=1.0, level=2)),
+        ("coherent_surface", dict(n=4, samples=5)),
+        ("compare", dict(n=4, v=1.0, epsilon_range="-1:1:3")),
+        ("figure", dict(id="fig1", n=8)),
+        ("figure", dict(id="fig2", epsilon_range="-1:1:2")),
+        ("figure", dict(id="fig5", samples=3)),
+        ("figure", dict(id="fig7", epsilon_range="-1:1:2")),
+    ])
+    def test_builder_writes_the_command_table(self, tmp_path, builder, flags):
+        lib, cli = tmp_path / "lib.csv", tmp_path / "cli.csv"
+        getattr(tables, builder)(**flags).write_csv(lib)
+        argv = [builder.replace("_", "-")]
+        argv += [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+        assert main(argv + ["--out", str(cli)]) == 0
+        assert lib.read_bytes() == cli.read_bytes()

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 import teardrop.cli
 import teardrop.semiclassics
+import teardrop.tables
 from teardrop.core import basis_states, make_params
 from teardrop.meanfield import energy_range
 from teardrop.quantum import build_hamiltonian, exact_spectrum
@@ -183,6 +184,18 @@ class TestTurningPoints:
     def test_decoupled_rejected(self):
         with pytest.raises(ValueError):
             turning_points(0.0, make_params(1.0, 0.0, 10))
+
+    @pytest.mark.parametrize("v, e", [
+        (1e-300, 0.1),  # 9 v^2 underflows in fixed_points
+        (1e-160, -0.5),  # eps^2/v^2 overflows on the de = 0 branch
+        (1e-160, 0.1),  # the cubic's coefficients overflow
+        (1e-154, 0.1),
+        (1e-100, 0.1),  # the square in f overflows at the bracket end
+    ])
+    @pytest.mark.parametrize("fn", [turning_points, action, period])
+    def test_coupling_beyond_double_range_named(self, fn, v, e):
+        with pytest.raises(ValueError, match=f"coupling v = {v}"):
+            fn(e, make_params(1.0, v, 10))
 
 
 class TestAction:
@@ -608,7 +621,7 @@ class TestArrayPasses:
             return energy_range(params)
 
         monkeypatch.setattr(teardrop.semiclassics, "energy_range", counted)
-        monkeypatch.setattr(teardrop.cli, "energy_range", counted)
+        monkeypatch.setattr(teardrop.tables, "energy_range", counted)
 
         def count(run):
             calls.clear()

@@ -19,15 +19,6 @@ Fixed points sit at s_y = 0; their s_z values solve
 The tip s_z = -1/2 is always stationary: a saddle for |eps| < sqrt(2)|v|
 and elliptic above, with a transcritical exchange of stability at the
 critical coupling.
-
-Two nonlinear-Schroedinger forms of the same flow are provided.  The psi
-form uses per-particle amplitudes (|psi_a|^2 + 2|psi_b|^2 = 2); the chi
-form replaces the atomic amplitude by a pair amplitude, normalised as
-|chi_a| + 2|chi_b|^2 = 2.  The chi evolution matrix is not symmetric (the
-couplings sqrt(2) v |chi_a| and v/(2 sqrt 2) differ) because chi_a stands
-for an atom *pair*; the induced Bloch flow is nevertheless exactly the
-system above, which is the invariant content and is what the tests pin
-down.
 """
 
 from __future__ import annotations
@@ -36,14 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .core import (
-    ModelParams,
-    teardrop_radius,
-    teardrop_radius_sq,
-    teardrop_radius_sq_deriv,
-)
+from .core import ModelParams, teardrop_radius, teardrop_radius_sq
 
 SURFACE_TOL = 1e-10
 CRITICAL_CLASSIFICATION_TOL = 1e-9
@@ -113,22 +98,12 @@ def mf_rhs(s: BlochPoint, params: ModelParams):
 
 
 def mf_energy(point, params: ModelParams):
-    """H evaluated in either chart; identical values for matching points."""
+    """H evaluated in either chart; identical values for matching points.
+    The fields of a BlochPoint may be arrays, such as a whole trajectory."""
     eps, v = params.epsilon, params.v
     if isinstance(point, CanonicalPoint):
         return eps * point.p + v * teardrop_radius(point.p) * math.cos(point.q)
     return eps * point.sz + v * point.sx
-
-
-def canonical_rhs(c: CanonicalPoint, params: ModelParams):
-    """(dp/dt, dq/dt) = (-dH/dq, dH/dp); singular at the vertices where
-    r = 0."""
-    eps, v = params.epsilon, params.v
-    r = teardrop_radius(c.p)
-    if r <= 1e-12:
-        raise ValueError("canonical flow undefined at r=0")
-    drdp = teardrop_radius_sq_deriv(c.p) / (2.0 * r)
-    return v * r * math.sin(c.q), eps + v * drdp * math.cos(c.q)
 
 
 @dataclass(frozen=True)
@@ -164,6 +139,13 @@ def _offtip_stability(p):
     return "elliptic" if rpp < 0.0 else "saddle"
 
 
+def _quadratic_range_error(params):
+    return ValueError(
+        f"coupling v = {params.v} with eps = {params.epsilon} puts a square "
+        "of the fixed-point quadratic outside the double range"
+    )
+
+
 def fixed_points(params: ModelParams):
     """All stationary points of the flow, with stability tags.
 
@@ -187,18 +169,19 @@ def fixed_points(params: ModelParams):
 
     # quadratic factor 9 v^2 s^2 - (3 v^2 - 2 eps^2) s + v^2/4 - eps^2
     if v != 0.0:
-        a = 9.0 * v**2
+        try:
+            v_sq, eps_sq = v**2, eps**2
+        except OverflowError:
+            raise _quadratic_range_error(params) from None
+        a = 9.0 * v_sq
         if a == 0.0:
-            raise ValueError(
-                f"coupling v = {v} is too weak for the fixed-point quadratic: "
-                "9 v^2 underflows to 0"
-            )
-        b = -(3.0 * v**2 - 2.0 * eps**2)
-        c = 0.25 * v**2 - eps**2
+            raise _quadratic_range_error(params)  # 9 v^2 underflows to 0
+        b = -(3.0 * v_sq - 2.0 * eps_sq)
+        c = 0.25 * v_sq - eps_sq
         # b^2 - 4ac collapses to 4 eps^2 (eps^2 + 6 v^2): exact, never
         # negative, and immune to the cancellation that the textbook form
         # suffers near the eps = 0 double root
-        sq = 2.0 * abs(eps) * math.sqrt(eps**2 + 6.0 * v**2)
+        sq = 2.0 * abs(eps) * math.sqrt(eps_sq + 6.0 * v_sq)
         if b == 0.0:
             roots = [(-sq / (2.0 * a), -1.0), (sq / (2.0 * a), 1.0)]
         else:
@@ -224,9 +207,9 @@ def fixed_points(params: ModelParams):
             # s_x = -(v/4 eps)(1+2s)(1-6s) with (1-6s) taken from the
             # root's closed-form offset; the direct difference cancels
             # catastrophically when the roots crowd the eps = 0 point
-            sqrt_term = math.sqrt(eps**2 + 6.0 * v**2)
+            sqrt_term = math.sqrt(eps_sq + 6.0 * v_sq)
             if above_mid > 0.0:
-                offset = -6.0 * v**2 / (abs(eps) + sqrt_term)
+                offset = -6.0 * v_sq / (abs(eps) + sqrt_term)
             else:
                 offset = abs(eps) + sqrt_term
             sx_vals = [
@@ -274,17 +257,11 @@ def integrate_trajectory(
     if abs(s0.surface_residual()) > SURFACE_TOL:
         raise ValueError("initial point is off the constraint surface")
 
-    def rhs(_, y):
-        eps, v = params.epsilon, params.v
-        return [
-            -eps * y[1],
-            eps * y[0] + 0.25 * v * (1.0 - 4.0 * y[2] - 12.0 * y[2] ** 2),
-            v * y[1],
-        ]
+    from scipy.integrate import solve_ivp
 
     t_eval = np.linspace(0.0, t_max, samples)
     sol = solve_ivp(
-        rhs,
+        lambda _, y: mf_rhs(BlochPoint(*y), params),
         (0.0, t_max),
         [s0.sx, s0.sy, s0.sz],
         method="DOP853",
@@ -296,7 +273,7 @@ def integrate_trajectory(
         raise RuntimeError(f"mean-field integration failed: {sol.message}")
 
     sx, sy, sz = sol.y
-    energy = params.epsilon * sz + params.v * sx
+    energy = mf_energy(BlochPoint(sx, sy, sz), params)
     surface = sx**2 + sy**2 - teardrop_radius_sq(np.clip(sz, -0.5, 0.5))
     return Trajectory(
         times=sol.t,
@@ -306,111 +283,3 @@ def integrate_trajectory(
         energy_drift=float(np.max(np.abs(energy - energy[0]))),
         surface_drift=float(np.max(np.abs(surface))),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class MeanFieldWavefunction:
-    """Two-component mean-field amplitude, psi or chi convention."""
-
-    variant: str  # "psi" | "chi"
-    components: np.ndarray
-
-    def norm_residual(self):
-        a, b = self.components
-        if self.variant == "psi":
-            return abs(a) ** 2 + 2.0 * abs(b) ** 2 - 2.0
-        return abs(a) + 2.0 * abs(b) ** 2 - 2.0
-
-
-def wavefunction(variant, a, b, tol=1e-10):
-    if variant not in ("psi", "chi"):
-        raise ValueError(f"unknown variant {variant!r}")
-    w = MeanFieldWavefunction(variant, np.array([a, b], dtype=complex))
-    res = w.norm_residual()
-    if abs(res) > tol:
-        raise ValueError(f"{variant} normalisation violated (residual {res:.3e})")
-    return w
-
-
-def nls_rhs(w: MeanFieldWavefunction, params: ModelParams):
-    """Time derivative (da/dt, db/dt) of either nonlinear-Schroedinger form."""
-    eps, v = params.epsilon, params.v
-    a, b = w.components
-    if w.variant == "psi":
-        da = -1j * (0.25 * eps * a + (v / math.sqrt(2.0)) * np.conj(a) * b)
-        db = -1j * ((v / (2.0 * math.sqrt(2.0))) * a * a - 0.5 * eps * b)
-    elif w.variant == "chi":
-        da = -1j * (0.5 * eps * a + math.sqrt(2.0) * v * abs(a) * b)
-        db = -1j * ((v / (2.0 * math.sqrt(2.0))) * a - 0.5 * eps * b)
-    else:
-        raise ValueError(f"unknown variant {w.variant!r}")
-    return da, db
-
-
-def bloch_projection(w: MeanFieldWavefunction):
-    """Map a mean-field wave function to its Bloch point.
-
-    An exactly normalised wave function lands on the surface identically;
-    norm drift of the input (e.g. accumulated by an integrator) shows up
-    as a proportional surface residual, so the validation tolerance is
-    widened accordingly.
-    """
-    a, b = w.components
-    if w.variant == "psi":
-        cross = np.conj(a) ** 2 * b
-        sz = 0.25 * (abs(a) ** 2 - 2.0 * abs(b) ** 2)
-    else:
-        cross = np.conj(a) * b
-        sz = 0.25 * (abs(a) - 2.0 * abs(b) ** 2)
-    inv_sqrt8 = 1.0 / (2.0 * math.sqrt(2.0))
-    sx = 2.0 * inv_sqrt8 * cross.real
-    sy = 2.0 * inv_sqrt8 * cross.imag
-    tol = max(SURFACE_TOL, 10.0 * abs(w.norm_residual()))
-    return bloch_point(sx, sy, sz, tol=tol)
-
-
-def wavefunction_from_bloch(s: BlochPoint, variant):
-    """A representative wave function projecting onto s (gauge: atomic
-    amplitude real and non-negative)."""
-    if variant == "psi":
-        a = math.sqrt(max(1.0 + 2.0 * s.sz, 0.0))
-        babs = math.sqrt(max((1.0 - 2.0 * s.sz) / 2.0, 0.0))
-    elif variant == "chi":
-        a = 1.0 + 2.0 * s.sz
-        babs = math.sqrt(max((1.0 - 2.0 * s.sz) / 2.0, 0.0))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    if teardrop_radius(s.sz) > 1e-12:
-        q = to_canonical(s).q
-    else:
-        q = 0.0
-    return wavefunction(variant, a, babs * np.exp(1j * q))
-
-
-def integrate_wavefunction(
-    w0: MeanFieldWavefunction, times, params: ModelParams, tol=1e-10
-):
-    """Integrate either NLS form; returns the complex components at the
-    requested times."""
-    times = np.asarray(times, dtype=float)
-
-    def rhs(_, y):
-        w = MeanFieldWavefunction(
-            w0.variant, np.array([y[0] + 1j * y[1], y[2] + 1j * y[3]])
-        )
-        da, db = nls_rhs(w, params)
-        return [da.real, da.imag, db.real, db.imag]
-
-    a0, b0 = w0.components
-    sol = solve_ivp(
-        rhs,
-        (times[0], times[-1]),
-        [a0.real, a0.imag, b0.real, b0.imag],
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-        t_eval=times,
-    )
-    if not sol.success:
-        raise RuntimeError(f"NLS integration failed: {sol.message}")
-    return sol.y[0] + 1j * sol.y[1], sol.y[2] + 1j * sol.y[3]

@@ -70,7 +70,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import loggamma, roots_legendre
+from scipy.special import ellipk, loggamma, roots_legendre
 
 from .core import ModelParams, basis_states, teardrop_radius
 from .meanfield import critical_epsilon, energy_range
@@ -137,10 +137,11 @@ def _validate_energy(e, erange, tol=1e-10):
     return min(max(e, emin), emax)
 
 
-def _cubic_coupling_error(params):
+def _cubic_range_error(params):
     return ValueError(
-        f"coupling v = {params.v} is too weak against eps = {params.epsilon} "
-        "for the turning-point cubic in double precision"
+        f"coupling v = {params.v} with eps = {params.epsilon} puts a term of "
+        "the turning-point cubic outside the double range (|v| too weak "
+        "against |eps|, or either too large)"
     )
 
 
@@ -160,38 +161,52 @@ def _cubic_roots(e, params):
     found by bracketing on f itself, whose first term resolves a pair that
     splits by only ~|v| (weak coupling).
 
-    A coupling so weak against eps that v^2, the bracket end or f there
-    leaves the double range raises ``ValueError``.
+    Where a square, a coefficient or the bracket end leaves the double
+    range (a coupling too weak against eps, or either too large), it
+    raises ``ValueError`` naming eps and v.
     """
-    eps, v2 = params.epsilon, params.v**2
+    eps = params.epsilon
     de = e + 0.5 * eps
+    try:
+        v2, eps2, de2 = params.v**2, eps**2, de**2
+    except OverflowError:
+        raise _cubic_range_error(params) from None
     if v2 == 0.0:
-        raise _cubic_coupling_error(params)
-    if de == 0.0:
-        u0 = 2.0 - eps**2 / v2
-        if math.isinf(u0):
-            raise _cubic_coupling_error(params)
-        return sorted((0.0, 0.0, u0))
+        raise _cubic_range_error(params)
 
     def f(u):
-        return (eps * u - 2.0 * de) ** 2 - v2 * (2.0 - u) * u * u
+        try:
+            return (eps * u - 2.0 * de) ** 2 - v2 * (2.0 - u) * u * u
+        except OverflowError:
+            raise _cubic_range_error(params) from None
+
+    # f(0) = 4 de^2 vanishes at de = 0 and where de^2 underflows; the pair
+    # next to the tip then sits at u = 0 to double precision
+    if f(0.0) == 0.0:
+        u0 = 2.0 - eps2 / v2
+        if math.isinf(u0):
+            raise _cubic_range_error(params)
+        return sorted((0.0, 0.0, u0))
 
     def root(lo, hi):
-        return brentq(f, lo, hi, xtol=1e-300, maxiter=400)
+        # Brent's method takes about two steps per halving of the bracket,
+        # and a root next to the tip scales with de, so it can sit near
+        # xtol: some 2000 halvings below a bracket as wide as 1e308
+        return brentq(f, lo, hi, xtol=1e-300, maxiter=4096)
 
     # monic coefficients u^3 + b u^2 + c u + d; every root lies within
     # Cauchy's bound, and at twice the bound the cubic term dominates, so
     # f < 0 there survives the cancellation inside f
-    b = (eps**2 - 2.0 * v2) / v2
+    b = (eps2 - 2.0 * v2) / v2
     c = -4.0 * eps * de / v2
-    d = 4.0 * de**2 / v2
+    d = 4.0 * de2 / v2
     lo = -2.0 * (1.0 + max(abs(b), abs(c), abs(d)))
     # on [lo, 0] the square in f is largest at lo, and there its ** raises
     # OverflowError where g * g gives inf; the cubic term may reach inf,
     # which leaves f(lo) = -inf with the sign that brentq needs
     g = eps * lo - 2.0 * de
     if not math.isfinite(g * g):
-        raise _cubic_coupling_error(params)
+        raise _cubic_range_error(params)
     u0 = root(lo, 0.0)
     # pair product and half-sum; b >= u0 exactly when the pair sum is at
     # most 2|u0|, and each branch then subtracts terms of which the result
@@ -452,9 +467,11 @@ def quantize(params: ModelParams):
     m_weyl = params.n_particles + 1.5
     weyl = replace(params, v=params.v * math.sqrt(m_weyl / params.n_particles))
     eta_w = 2.0 / m_weyl
-    omega_sq = 0.5 * weyl.v**2 - 0.25 * eps**2
-    barrier = eta_w * math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0
     erange = energy_range(weyl)
+    # no barrier at v = 0, where energy_range leaves eps^2 unchecked and
+    # it may overflow
+    omega_sq = 0.5 * weyl.v**2 - 0.25 * eps**2 if weyl.v != 0.0 else 0.0
+    barrier = eta_w * math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0
 
     def phase(e):
         """S_W(e)/eta_W + pi - F(a(e)); equals 2 pi (n + 1/2) at level n."""
@@ -478,20 +495,11 @@ def quantize(params: ModelParams):
 
 
 def elliptic_k(m):
-    """Complete elliptic integral of the first kind, parameter convention,
-    by the arithmetic-geometric mean.  Returns inf for m >= 1."""
+    """Complete elliptic integral of the first kind, parameter convention
+    (scipy's ``ellipk``).  Returns inf for m >= 1."""
     if m < 0.0:
         raise ValueError(f"elliptic parameter must be >= 0, got {m}")
-    if m >= 1.0:
-        return math.inf
-    a, b = 1.0, math.sqrt(1.0 - m)
-    # quadratic convergence: a handful of iterations reach the 1-2 ulp
-    # floor; the cap guards against ulp ping-pong at that floor
-    for _ in range(60):
-        if abs(a - b) <= 4.0 * np.finfo(float).eps * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return math.inf if m >= 1.0 else float(ellipk(m))
 
 
 def period(e, params: ModelParams):

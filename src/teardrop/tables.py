@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__, meanfield, semiclassics
 from .artifacts import TableArtifact
 from .core import basis_states, make_params, teardrop_radius
-from .meanfield import BlochPoint, bloch_point, energy_range, integrate_trajectory
+from .meanfield import (BlochPoint, bloch_point, energy_range, integrate_trajectory,
+                        mf_energy)
 from .quantum import (
     VariationalSpec,
     build_generators,
@@ -171,7 +172,7 @@ def mf_trajectory(*, n, epsilon, v, init, t_max, samples, tol):
     params = make_params(epsilon, v, n)
     start, _ = _initial(init)
     traj = integrate_trajectory(start, t_max, params, tol=tol, samples=samples)
-    energy = params.epsilon * traj.sz + params.v * traj.sx
+    energy = mf_energy(BlochPoint(traj.sx, traj.sy, traj.sz), params)
     meta = _metadata("mf-trajectory", params, init=init, t_max=t_max,
                      energy_drift=traj.energy_drift,
                      surface_drift=traj.surface_drift)

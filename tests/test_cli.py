@@ -101,6 +101,37 @@ class TestBasicCommands:
         _, _, rows = read_csv(out)
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["quantize", "--n", "20", "--epsilon", "1", "--v", "1e200"],
+        ["dos", "--n", "20", "--epsilon", "1", "--v", "1e200", "--samples", "5"],
+        ["period", "--n", "20", "--epsilon", "1e200", "--v", "1", "--energy", "0"],
+        ["fixed-points", "--n", "20", "--epsilon", "1e200", "--v", "1"],
+        ["wkb-state", "--n", "20", "--epsilon", "1", "--v", "1e200", "--level", "2"],
+        ["quantize", "--n", "20", "--epsilon", "1e153", "--v", "1e153"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[4]}-{argv[6]}")
+    def test_large_parameters_are_usage_error(self, tmp_path, capsys, argv):
+        # a square of eps or v, or a term of the turning-point cubic,
+        # leaves the double range
+        out = tmp_path / "large.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"eps = {float(argv[4])}" in err
+        assert "coupling v = " in err and "double range" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["quantize", "--n", "20", "--epsilon", "1", "--v", "1e150"],
+        ["fixed-points", "--n", "20", "--epsilon", "1e150", "--v", "1"],
+        ["spectrum", "--n", "20", "--epsilon", "1e300", "--v", "1e300"],
+        ["quantize", "--n", "20", "--epsilon", "1e200", "--v", "0"],  # no square
+    ], ids=lambda argv: f"{argv[0]}-{argv[4]}-{argv[6]}")
+    def test_large_parameters_in_range_run(self, tmp_path, argv):
+        out = tmp_path / "large.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows
+        assert not {"nan", "inf", "-inf"} & {cell for row in rows for cell in row}
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2
 

@@ -1,8 +1,12 @@
 """Module layout of the package, checked on its source with ``ast``: no
 module reaches into another's private names, and the command line is a
-thin layer over ``teardrop.tables``."""
+thin layer over ``teardrop.tables``.  Importing the command line leaves
+the ODE solvers unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,14 @@ def test_cli_uses_only_tables():
             for module, name in _teardrop_imports(SRC / "cli.py")}
     assert "tables" in used
     assert used <= {"tables", "artifacts", "__version__"}
+
+
+def test_cli_import_leaves_integrators_unloaded():
+    # only integrate_trajectory needs scipy.integrate, and imports it itself
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, teardrop.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

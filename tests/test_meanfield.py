@@ -1,29 +1,32 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from conftest import (
+    MeanFieldWavefunction,
+    bloch_projection,
+    canonical_rhs,
+    integrate_wavefunction,
+    nls_rhs,
+    wavefunction,
+    wavefunction_from_bloch,
+)
 from teardrop.core import make_params, teardrop_radius
 from teardrop.meanfield import (
     BlochPoint,
     CanonicalPoint,
-    MeanFieldWavefunction,
     bloch_point,
-    bloch_projection,
-    canonical_rhs,
     critical_epsilon,
     energy_range,
     fixed_points,
     from_canonical,
     integrate_trajectory,
-    integrate_wavefunction,
     mf_energy,
     mf_rhs,
-    nls_rhs,
     to_canonical,
-    wavefunction,
-    wavefunction_from_bloch,
 )
 
 R_WIDE = teardrop_radius(1.0 / 6.0)  # widest cross-section, sqrt(8/27)
@@ -187,6 +190,12 @@ class TestFixedPoints:
         params = make_params(eps, v, 10)
         for fp in fixed_points(params):
             assert np.abs(mf_rhs(fp.location, params)).max() <= 1e-9
+
+    @pytest.mark.parametrize("eps, v", [(1e200, 1.0), (1.0, 1e200), (1e155, -1e155)])
+    def test_squares_beyond_double_range_named(self, eps, v):
+        named = re.escape(f"coupling v = {v} with eps = {eps}")
+        with pytest.raises(ValueError, match=named):
+            fixed_points(make_params(eps, v, 10))
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):

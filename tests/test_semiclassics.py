@@ -198,6 +198,20 @@ class TestTurningPoints:
             fn(e, make_params(1.0, v, 10))
 
 
+    @pytest.mark.parametrize("v", [1.0, -0.3, 1e6])
+    @pytest.mark.parametrize("eps", [5.1739228525171474e-223, 6.092630419508491e-83,
+                                     -3e-158])
+    def test_tip_energy_at_vanishing_detuning(self, eps, v):
+        # de = e + eps/2 so small that de^2 underflows (first eps) or that
+        # the roots next to the tip sit tens of decades below the bracket
+        # width: the orbit through the tip is that of eps = 0
+        params, flat = make_params(eps, v, 10), make_params(0.0, v, 10)
+        tp = turning_points(0.0, params)
+        assert (tp.p_zero, tp.p_minus) == (-0.5, -0.5)
+        assert tp.p_plus == turning_points(0.0, flat).p_plus
+        assert action(0.0, params) == pytest.approx(action(0.0, flat), abs=1e-12)
+
+
 class TestAction:
     def test_decoupled_closed_form(self):
         params = make_params(1.0, 0.0, 10)

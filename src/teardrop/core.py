@@ -68,6 +68,16 @@ def make_params(epsilon, v, n_particles):
     )
 
 
+class DoubleRangeError(ValueError):
+    """eps and v put ``term`` of a closed-form solution outside the double
+    range; the message names both."""
+
+    def __init__(self, params, term):
+        super().__init__(f"coupling v = {params.v} with eps = {params.epsilon} puts "
+                         f"{term} outside the double range")
+        self.term = term
+
+
 def params_from_mode_energies(epsilon_a, epsilon_b, v, n_particles):
     """Build parameters from the raw atomic/molecular mode energies."""
     n = _check_particle_number(n_particles)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, teardrop_radius, teardrop_radius_sq
+from .core import DoubleRangeError, ModelParams, teardrop_radius, teardrop_radius_sq
 
 SURFACE_TOL = 1e-10
 CRITICAL_CLASSIFICATION_TOL = 1e-9
@@ -140,10 +140,7 @@ def _offtip_stability(p):
 
 
 def _quadratic_range_error(params):
-    return ValueError(
-        f"coupling v = {params.v} with eps = {params.epsilon} puts a square "
-        "of the fixed-point quadratic outside the double range"
-    )
+    return DoubleRangeError(params, "a term of the fixed-point quadratic")
 
 
 def fixed_points(params: ModelParams):
@@ -169,24 +166,24 @@ def fixed_points(params: ModelParams):
 
     # quadratic factor 9 v^2 s^2 - (3 v^2 - 2 eps^2) s + v^2/4 - eps^2
     if v != 0.0:
-        try:
-            v_sq, eps_sq = v**2, eps**2
-        except OverflowError:
-            raise _quadratic_range_error(params) from None
+        # products, not **: C pow may round x**2 off by an ulp, which breaks
+        # the exact scaling of every term with a power of two of eps and v
+        v_sq, eps_sq = v * v, eps * eps
         a = 9.0 * v_sq
-        if a == 0.0:
-            raise _quadratic_range_error(params)  # 9 v^2 underflows to 0
         b = -(3.0 * v_sq - 2.0 * eps_sq)
         c = 0.25 * v_sq - eps_sq
         # b^2 - 4ac collapses to 4 eps^2 (eps^2 + 6 v^2): exact, never
         # negative, and immune to the cancellation that the textbook form
         # suffers near the eps = 0 double root
         sq = 2.0 * abs(eps) * math.sqrt(eps_sq + 6.0 * v_sq)
+        sign_b = math.copysign(1.0, b)
+        qq = -0.5 * (b + sign_b * sq)
+        # 9 v^2 underflows to 0, or a term overflows to inf
+        if a == 0.0 or not all(map(math.isfinite, (a, b, c, sq, qq))):
+            raise _quadratic_range_error(params)
         if b == 0.0:
             roots = [(-sq / (2.0 * a), -1.0), (sq / (2.0 * a), 1.0)]
         else:
-            sign_b = math.copysign(1.0, b)
-            qq = -0.5 * (b + sign_b * sq)
             roots = sorted([(qq / a, -sign_b), (c / qq, sign_b)])
         # the roots coincide only as eps -> 0, where both signs of s_x are
         # stationary; below the resolvable separation treat them as one
@@ -212,6 +209,8 @@ def fixed_points(params: ModelParams):
                 offset = -6.0 * v_sq / (abs(eps) + sqrt_term)
             else:
                 offset = abs(eps) + sqrt_term
+            if not math.isfinite(offset):
+                raise _quadratic_range_error(params)
             sx_vals = [
                 -(1.0 + 2.0 * s_z) * math.copysign(1.0, eps) / (6.0 * v) * offset
             ]

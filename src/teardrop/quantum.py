@@ -27,6 +27,7 @@ non-negative b (K_x, and H at v >= 0) every phase is exactly 1.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -72,11 +73,11 @@ class OperatorMatrix:
         return self.diag.size
 
     def matvec(self, vec):
-        """A @ vec in O(dim)."""
+        """A @ vec in O(dim), along the last axis of one state or a stack."""
         dtype = np.result_type(self.diag, self.offdiag, self.superdiag, vec)
         out = (self.diag * vec).astype(dtype, copy=False)
-        out[1:] += self.offdiag * vec[:-1]
-        out[:-1] += self.superdiag * vec[1:]
+        out[..., 1:] += self.offdiag * vec[..., :-1]
+        out[..., :-1] += self.superdiag * vec[..., 1:]
         return out
 
     def to_dense(self):
@@ -174,39 +175,29 @@ def _phase_gauge(offdiag):
 
 
 def exact_spectrum(op: OperatorMatrix, want_vectors=False):
-    """All eigenvalues (ascending), optionally with orthonormal vectors."""
+    """All eigenvalues (ascending), optionally with orthonormal vectors; vectors
+    (8 dim^2 bytes, 16 for a complex band) that exceed physical memory raise
+    ``ValueError`` naming both sizes before anything is allocated."""
     _check_hermitian(op)
     modulus = np.abs(op.offdiag)
     if not want_vectors:
         return eigh_tridiagonal(op.diag.real, modulus, eigvals_only=True), None
+    need = np.result_type(op.offdiag, float).itemsize * op.dimension**2 / 2**30
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 2**30
+    if need > have:
+        raise ValueError(f"eigenvectors at dimension {op.dimension} need {need:.4g} "
+                         f"GiB, over the {have:.4g} GiB of physical memory")
     vals, vecs = eigh_tridiagonal(op.diag.real, modulus)
     return vals, _phase_gauge(op.offdiag)[:, None] * vecs
 
 
-@dataclass(eq=False)
-class QuantumState:
-    """Normalised state vector over the ascending-m basis."""
-
-    amplitudes: np.ndarray
-    n_particles: int
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm} differs from 1 beyond 1e-12")
-
-    @property
-    def dimension(self):
-        return self.amplitudes.size
-
-
-def normalized_state(amplitudes, n_particles):
-    amps = np.asarray(amplitudes, dtype=complex)
-    norm = np.linalg.norm(amps)
-    if norm == 0.0:
-        raise ValueError("cannot normalise the zero vector")
-    return QuantumState(amps / norm, n_particles)
+def _unit_rows(psi):
+    """One state, or a stack of states, as a complex array checked for unit norm."""
+    psi = np.asarray(psi, dtype=complex)
+    deviation = np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max(initial=0.0)
+    if not deviation <= 1e-12:
+        raise ValueError(f"state norm differs from 1 by {deviation:.3g}, beyond 1e-12")
+    return psi
 
 
 def basis_state(basis: KzBasis, m):
@@ -216,66 +207,61 @@ def basis_state(basis: KzBasis, m):
     if abs(basis.m_values[idx] - m) > 1e-9:
         raise ValueError(f"m = {m} is not in the basis")
     amps[idx] = 1.0
-    return QuantumState(amps, basis.n_particles)
+    return amps
 
 
-def evolve_state(hamiltonian: OperatorMatrix, psi0: QuantumState, times):
-    """Evolve psi0 under a time-independent H via spectral decomposition.
-
-    psi(t) = sum_k exp(-i E_k t) <k|psi0> |k>, exact up to the eigensolve,
-    so norm and energy are conserved to machine precision.
+def evolve_state(hamiltonian: OperatorMatrix, psi0, times):
+    """Evolve the normalised state psi0 under a time-independent H via
+    spectral decomposition: row j of the (len(times), dim) result is
+    psi(t_j) = sum_k exp(-i E_k t_j) <k|psi0> |k>, exact up to the
+    eigensolve, so norm and energy are conserved to machine precision.
     """
-    if hamiltonian.dimension != psi0.dimension:
-        raise ValueError(
-            f"dimension mismatch: H is {hamiltonian.dimension}, "
-            f"state is {psi0.dimension}"
-        )
+    psi0 = _unit_rows(psi0)
+    if psi0.shape != (hamiltonian.dimension,):
+        raise ValueError(f"dimension mismatch: H is {hamiltonian.dimension}, "
+                         f"state has shape {psi0.shape}")
     vals, vecs = exact_spectrum(hamiltonian, want_vectors=True)
-    coeffs = vecs.conj().T @ psi0.amplitudes
-    states = []
-    for t in np.asarray(times, dtype=float):
-        amps = vecs @ (np.exp(-1j * vals * t) * coeffs)
-        states.append(QuantumState(amps, psi0.n_particles))
-    return states
+    coeffs = _matmul(psi0.conj(), vecs).conj()
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), vals))
+    return _matmul(phases * coeffs, vecs.T)
+
+
+def _matmul(a, b):
+    """a @ b for a complex a, without the complex copy numpy makes of a real b."""
+    return a @ b if np.iscomplexobj(b) else a.real @ b + 1j * (a.imag @ b)
 
 
 @dataclass(frozen=True)
 class MomentSet:
-    """First moments, the conservation-law second/third moments, and energy."""
+    """First moments, the conservation-law second/third moments, and energy.
+    Floats for one state; arrays over the rows for a stack of states."""
 
-    kx: float
-    ky: float
-    kz: float
-    kx2: float
-    ky2: float
-    kz2: float
-    kz3: float
-    energy: float | None = None
+    kx: float | np.ndarray
+    ky: float | np.ndarray
+    kz: float | np.ndarray
+    kx2: float | np.ndarray
+    ky2: float | np.ndarray
+    kz2: float | np.ndarray
+    kz3: float | np.ndarray
+    energy: float | np.ndarray | None = None
 
 
-def observables(psi: QuantumState, generators, params: ModelParams | None = None):
-    amps = psi.amplitudes
-    x = generators["Kx"].matvec(amps)
-    y = generators["Ky"].matvec(amps)
+def _expectation(bra, ket):
+    return np.sum(bra.conj() * ket, axis=-1).real
+
+
+def observables(psi, generators, params: ModelParams | None = None):
+    """Moments of a normalised state, or of each row of a stack of them."""
+    psi = _unit_rows(psi)
+    x = generators["Kx"].matvec(psi)
+    y = generators["Ky"].matvec(psi)
     m = generators["Kz"].diag
-    prob = np.abs(amps) ** 2
-
-    kx = float(np.real(np.vdot(amps, x)))
-    ky = float(np.real(np.vdot(amps, y)))
-    kz = float(np.sum(prob * m))
-    energy = None
-    if params is not None:
-        energy = params.epsilon * kz + params.v * kx
-    return MomentSet(
-        kx=kx,
-        ky=ky,
-        kz=kz,
-        kx2=float(np.real(np.vdot(x, x))),
-        ky2=float(np.real(np.vdot(y, y))),
-        kz2=float(np.sum(prob * m**2)),
-        kz3=float(np.sum(prob * m**3)),
-        energy=energy,
-    )
+    prob = np.abs(psi) ** 2
+    kx, kz = _expectation(psi, x), np.sum(prob * m, axis=-1)
+    energy = None if params is None else params.epsilon * kz + params.v * kx
+    return MomentSet(kx=kx, ky=_expectation(psi, y), kz=kz, kx2=_expectation(x, x),
+                     ky2=_expectation(y, y), kz2=np.sum(prob * m**2, axis=-1),
+                     kz3=np.sum(prob * m**3, axis=-1), energy=energy)
 
 
 @dataclass(frozen=True)
@@ -321,4 +307,5 @@ def variational_ground_state(spec: VariationalSpec, basis: KzBasis):
             "degenerate ground state; returning the lowest-index eigenvector",
             RuntimeWarning,
         )
-    return normalized_state(_gauge_fix(vecs[:, 0]), basis.n_particles)
+    psi = np.asarray(_gauge_fix(vecs[:, 0]), dtype=complex)
+    return psi / np.linalg.norm(psi)

@@ -69,10 +69,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ellipk, loggamma, roots_legendre
 
-from .core import ModelParams, basis_states, teardrop_radius
+from .core import DoubleRangeError, ModelParams, basis_states, teardrop_radius
 from .meanfield import critical_epsilon, energy_range
 
 ACTION_ABS_TOL = 1e-10
@@ -138,11 +137,8 @@ def _validate_energy(e, erange, tol=1e-10):
 
 
 def _cubic_range_error(params):
-    return ValueError(
-        f"coupling v = {params.v} with eps = {params.epsilon} puts a term of "
-        "the turning-point cubic outside the double range (|v| too weak "
-        "against |eps|, or either too large)"
-    )
+    return DoubleRangeError(params, "a term of the turning-point cubic (|v| too "
+                                    "weak against |eps|, or either too large)")
 
 
 def _cubic_roots(e, params):
@@ -165,6 +161,8 @@ def _cubic_roots(e, params):
     range (a coupling too weak against eps, or either too large), it
     raises ``ValueError`` naming eps and v.
     """
+    from scipy.optimize import brentq
+
     eps = params.epsilon
     de = e + 0.5 * eps
     try:
@@ -448,6 +446,8 @@ def _check_level_coupling(params):
 def _solve_level(phase, target, erange):
     """Energy at which the increasing function phase(e) reaches target,
     by Brent's method on the classical energy range erange."""
+    from scipy.optimize import brentq
+
     emin, emax = erange
     span = emax - emin
     return brentq(
@@ -467,30 +467,34 @@ def quantize(params: ModelParams):
     m_weyl = params.n_particles + 1.5
     weyl = replace(params, v=params.v * math.sqrt(m_weyl / params.n_particles))
     eta_w = 2.0 / m_weyl
-    erange = energy_range(weyl)
-    # no barrier at v = 0, where energy_range leaves eps^2 unchecked and
-    # it may overflow
-    omega_sq = 0.5 * weyl.v**2 - 0.25 * eps**2 if weyl.v != 0.0 else 0.0
-    barrier = eta_w * math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0
+    try:
+        erange = energy_range(weyl)
+        # no barrier at v = 0, where energy_range leaves eps^2 unchecked and
+        # it may overflow
+        omega_sq = 0.5 * weyl.v**2 - 0.25 * eps**2 if weyl.v != 0.0 else 0.0
+        barrier = eta_w * math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0
 
-    def phase(e):
-        """S_W(e)/eta_W + pi - F(a(e)); equals 2 pi (n + 1/2) at level n."""
-        gap = -0.5 * eps - e
-        a = gap / barrier if barrier > 0.0 else math.copysign(math.inf, gap)
-        return _action(e, weyl, erange) / eta_w + math.pi - _cone_phase(a)
+        def phase(e):
+            """S_W(e)/eta_W + pi - F(a(e)); equals 2 pi (n + 1/2) at level n."""
+            gap = -0.5 * eps - e
+            a = gap / barrier if barrier > 0.0 else math.copysign(math.inf, gap)
+            return _action(e, weyl, erange) / eta_w + math.pi - _cone_phase(a)
 
-    levels = []
-    for n in range(params.n_particles // 2 + 1):
-        e_w = _solve_level(phase, 2.0 * math.pi * (n + 0.5), erange)
-        energy_mp = 0.5 * m_weyl * e_w + 0.125 * eps
-        levels.append(
-            SemiclassicalLevel(
-                n=n,
-                energy_mp=energy_mp,
-                energy_mf=params.eta * energy_mp,
-                action=params.eta * phase(e_w),
+        levels = []
+        for n in range(params.n_particles // 2 + 1):
+            e_w = _solve_level(phase, 2.0 * math.pi * (n + 0.5), erange)
+            energy_mp = 0.5 * m_weyl * e_w + 0.125 * eps
+            levels.append(
+                SemiclassicalLevel(
+                    n=n,
+                    energy_mp=energy_mp,
+                    energy_mf=params.eta * energy_mp,
+                    action=params.eta * phase(e_w),
+                )
             )
-        )
+    except DoubleRangeError as err:
+        # name the caller's v, not the Weyl-reduced coupling
+        raise DoubleRangeError(params, err.term) from None
     return SemiclassicalSpectrum(params=params, levels=levels)
 
 

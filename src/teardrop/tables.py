@@ -187,13 +187,11 @@ def mp_trajectory(*, n, epsilon, v, init, t_max, samples):
     basis = basis_states(params.n_particles)
     _, spec = _initial(init)
     psi0 = variational_ground_state(spec, basis)
-    generators = build_generators(basis)
     times = np.linspace(0.0, t_max, samples)
     states = evolve_state(build_hamiltonian(params), psi0, times)
-    moments = [observables(psi, generators, params) for psi in states]
-    eta_k = params.eta * np.array([(m.kx, m.ky, m.kz) for m in moments])
-    rows = _rows(times, *eta_k.T, [np.linalg.norm(psi.amplitudes) for psi in states],
-                 [m.energy for m in moments])
+    mom = observables(states, build_generators(basis), params)
+    rows = _rows(times, params.eta * mom.kx, params.eta * mom.ky, params.eta * mom.kz,
+                 np.linalg.norm(states, axis=-1), mom.energy)
     meta = _metadata("mp-trajectory", params, init=init, t_max=t_max)
     return TableArtifact(["t", "eta_kx", "eta_ky", "eta_kz", "norm", "energy"],
                          rows, meta)
@@ -214,20 +212,14 @@ def coherent_surface(*, n, samples):
     """(eta <K_x>, eta <K_z>) of the variational ground states of
     a K_x + b K_z, with (a, b) swept over the teardrop cross-section."""
     basis = basis_states(n)
-    generators = build_generators(basis)
+    b = np.repeat(np.linspace(-0.5, 0.5, samples), 2)
+    sign = np.tile([1, -1], samples)
+    # r(b) = 0 only at b = -1/2 and 1/2, so no (a, b) pair vanishes
+    states = [variational_ground_state(VariationalSpec(float(a), float(b_k)), basis)
+              for a, b_k in zip(sign * teardrop_radius(b), b)]
+    mom = observables(states, build_generators(basis))
     eta = 1.0 / (n // 2 + 1)
-    rows = []
-    for b in np.linspace(-0.5, 0.5, samples):
-        radius = teardrop_radius(float(b))
-        for sign in (1.0, -1.0):
-            a = sign * radius
-            if a == 0.0 and b == 0.0:
-                continue
-            spec = VariationalSpec(float(a), float(b), 0.0)
-            mom = observables(variational_ground_state(spec, basis), generators)
-            rows.append(
-                (n, float(b), int(sign), float(eta * mom.kx), float(eta * mom.kz))
-            )
+    rows = _rows(n, b, sign, eta * mom.kx, eta * mom.kz)
     return TableArtifact(["n", "b", "a_sign", "eta_kx", "eta_kz"], rows,
                          _metadata("coherent-surface", n=n, samples=samples))
 

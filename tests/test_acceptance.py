@@ -261,7 +261,7 @@ def test_08_conservation_drift():
     for psi in evolve_state(
         build_hamiltonian(params), psi0, np.linspace(0.0, 100.0, 26)
     ):
-        worst_norm = max(worst_norm, abs(np.linalg.norm(psi.amplitudes) - 1.0))
+        worst_norm = max(worst_norm, abs(np.linalg.norm(psi) - 1.0))
         worst_qenergy = max(
             worst_qenergy, abs(observables(psi, gens, params).energy - e0)
         )

@@ -108,6 +108,16 @@ class TestBasicCommands:
         ["fixed-points", "--n", "20", "--epsilon", "1e200", "--v", "1"],
         ["wkb-state", "--n", "20", "--epsilon", "1", "--v", "1e200", "--level", "2"],
         ["quantize", "--n", "20", "--epsilon", "1e153", "--v", "1e153"],
+        # 9 v^2, or b + sqrt(discriminant), overflows although v^2 and eps^2 do not
+        ["fixed-points", "--n", "20", "--epsilon", "1", "--v", "5e153"],
+        ["fixed-points", "--n", "20", "--epsilon", "1", "--v", "1e154"],
+        ["fixed-points", "--n", "20", "--epsilon", "7e153", "--v", "1"],
+        ["fixed-points", "--n", "20", "--epsilon", "5e153", "--v", "5e153"],
+        ["quantize", "--n", "20", "--epsilon", "1", "--v", "5e153"],
+        ["dos", "--n", "20", "--epsilon", "1", "--v", "5e153", "--samples", "5"],
+        ["period", "--n", "20", "--epsilon", "1", "--v", "5e153", "--energy", "0"],
+        ["period", "--n", "20", "--epsilon", "1", "--v", "1e154", "--energy", "0"],
+        ["wkb-state", "--n", "20", "--epsilon", "1", "--v", "5e153", "--level", "2"],
     ], ids=lambda argv: f"{argv[0]}-{argv[4]}-{argv[6]}")
     def test_large_parameters_are_usage_error(self, tmp_path, capsys, argv):
         # a square of eps or v, or a term of the turning-point cubic,
@@ -117,6 +127,26 @@ class TestBasicCommands:
         err = capsys.readouterr().err
         assert f"eps = {float(argv[4])}" in err
         assert "coupling v = " in err and "double range" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("v", ["1e200", "5e153"])
+    def test_quantize_names_the_coupling_given(self, tmp_path, capsys, v):
+        # not the Weyl-reduced coupling v sqrt((N + 3/2)/N) that it solves with
+        argv = ["quantize", "--n", "20", "--epsilon", "1", "--v", v]
+        assert main(argv + ["--out", str(tmp_path / "q.csv")]) == 2
+        assert f"coupling v = {float(v)} with eps = 1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["mp-trajectory", "--n", "1000000"],
+        ["coherent-surface", "--n", "1000000", "--samples", "3"],
+        ["figure", "--id", "fig9", "--n", "1000000"],
+    ], ids=lambda argv: argv[0])
+    def test_eigenvectors_beyond_memory_are_usage_error(self, tmp_path, capsys, argv):
+        # 8 dim^2 bytes = 1863 GiB at dim = 500001: refused before allocating
+        out = tmp_path / "big.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "dimension 500001 need 1863 GiB" in err and "physical memory" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

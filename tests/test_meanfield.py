@@ -197,6 +197,33 @@ class TestFixedPoints:
         with pytest.raises(ValueError, match=named):
             fixed_points(make_params(eps, v, 10))
 
+    def test_large_parameters_scale_exactly_or_raise(self):
+        # every term of the quadratic is a product of eps and v, so a power
+        # of two scales it exactly: unless a term overflows, the points at
+        # (eps, v) are those at (eps, v) 2^-k, with the energies times 2^k
+        rng = np.random.default_rng(8)
+        held = 0
+        for _ in range(2000):
+            big = 10.0 ** rng.uniform(150.0, 155.0)
+            small = big * 10.0 ** rng.uniform(-6.0, 0.0)
+            eps, v = rng.choice([-1.0, 1.0], 2) * ((big, small) if rng.random() < 0.5
+                                                   else (small, big))
+            eps, v = float(eps), float(v)
+            try:
+                points = fixed_points(make_params(eps, v, 10))
+            except ValueError as err:
+                assert f"coupling v = {v} with eps = {eps}" in str(err)
+                continue
+            k = math.frexp(big)[1]
+            scaled = fixed_points(
+                make_params(math.ldexp(eps, -k), math.ldexp(v, -k), 10))
+            assert ([(fp.location, fp.s_z_root, fp.stability) for fp in points]
+                    == [(fp.location, fp.s_z_root, fp.stability) for fp in scaled])
+            assert [fp.energy for fp in points] == [math.ldexp(fp.energy, k)
+                                                    for fp in scaled]
+            held += 1
+        assert held > 1000
+
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
             fixed_points(make_params(0.0, 0.0, 10))

@@ -9,7 +9,6 @@ from teardrop.core import basis_states, make_params
 from teardrop.quantum import (
     MomentSet,
     OperatorMatrix,
-    QuantumState,
     VariationalSpec,
     basis_state,
     build_generators,
@@ -17,7 +16,6 @@ from teardrop.quantum import (
     casimir_matrix,
     evolve_state,
     exact_spectrum,
-    normalized_state,
     observables,
     structure_polynomial,
     variational_ground_state,
@@ -52,8 +50,8 @@ class TestGenerators:
         rng = np.random.default_rng(n)
         for _ in range(5):
             amps = rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1)
-            psi = normalized_state(amps, n)
-            a = psi.amplitudes
+            psi = amps / np.linalg.norm(amps)
+            a = psi
             expected = [np.vdot(a, mat @ a).real for mat in powers]
             mom = observables(psi, gens)
             got = (mom.kx, mom.ky, mom.kz, mom.kx2, mom.ky2, mom.kz2, mom.kz3)
@@ -224,9 +222,9 @@ class TestEvolution:
         times = [0.0, 0.7, 2.3]
         for t, psi in zip(times, evolve_state(h, psi0, times)):
             expected = np.exp(-1j * 1.1 * 1.0 * t)
-            idx = np.argmax(np.abs(psi.amplitudes))
-            assert abs(psi.amplitudes[idx] - expected * psi0.amplitudes[idx]) < 1e-12
-            probs = np.abs(psi.amplitudes) ** 2
+            idx = np.argmax(np.abs(psi))
+            assert abs(psi[idx] - expected * psi0[idx]) < 1e-12
+            probs = np.abs(psi) ** 2
             assert probs[idx] == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_and_energy_conserved(self):
@@ -237,7 +235,7 @@ class TestEvolution:
         psi0 = variational_ground_state(VariationalSpec(1.0, 0.0), basis)
         e0 = observables(psi0, gens, params).energy
         for psi in evolve_state(h, psi0, np.linspace(0.0, 100.0, 11)):
-            assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
             assert abs(observables(psi, gens, params).energy - e0) <= 1e-10
 
     def test_dimension_mismatch(self):
@@ -324,7 +322,7 @@ class TestObservables:
             amps = rng.normal(size=basis.dimension) + 1j * rng.normal(
                 size=basis.dimension
             )
-            mom = observables(normalized_state(amps, n), gens)
+            mom = observables(amps / np.linalg.norm(amps), gens)
             big_n = float(n)
             rhs = (
                 -2 * mom.kz / big_n
@@ -342,12 +340,12 @@ class TestVariationalStates:
     def test_minus_kz_ground_is_all_atoms(self):
         basis = basis_states(10)
         psi = variational_ground_state(VariationalSpec(0.0, -1.0), basis)
-        assert abs(psi.amplitudes[-1]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(psi[-1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_plus_kz_ground_is_all_molecules(self):
         basis = basis_states(10)
         psi = variational_ground_state(VariationalSpec(0.0, 1.0), basis)
-        assert abs(psi.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(psi[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -364,13 +362,17 @@ class TestVariationalStates:
         )
         vals = np.linalg.eigvalsh(mat)
         energy = np.real(
-            np.vdot(psi.amplitudes, mat @ psi.amplitudes)
+            np.vdot(psi, mat @ psi)
         )
         assert energy == pytest.approx(vals[0], abs=1e-12)
 
     def test_state_norm_enforced(self):
+        h = build_hamiltonian(make_params(1.0, 1.0, 2))
+        gens = build_generators(basis_states(2))
         with pytest.raises(ValueError, match="norm"):
-            QuantumState(np.array([1.0, 1.0]), 2)
+            evolve_state(h, np.array([1.0, 1.0]), [0.0])
+        with pytest.raises(ValueError, match="norm"):
+            observables(np.array([[1.0, 0.0], [1.0, 1.0]]), gens)
 
 
 def test_moment_set_is_frozen():
